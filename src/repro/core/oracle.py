@@ -11,6 +11,15 @@ the event graph.  The oracle realizes that quantification:
 * within one case, each event's time is an exact max-plus expression, and
   comparisons hold only if they hold in every case.
 
+A branch case is a pair of int bitmasks ``(assigned, values)`` over a
+per-graph condition index: bit ``i`` stands for the ``i``-th smallest
+condition id, ``assigned`` holds the conditions the case fixes and
+``values`` those of them that are true.  Each event's *cone* is the mask
+of every condition its timestamp can read (branches among its ancestors,
+plus the cones of the earlier same-message syncs it is serialized
+behind), so a timestamp is computed once per assignment of its cone and
+shared by every case that agrees there.
+
 Dynamic event patterns ``e |> pi.m`` ("first occurrence of pi.m after e")
 are resolved against the graph structurally.  We compute two bounds:
 
@@ -29,13 +38,15 @@ sound approximations of ``<=G`` and ``<G``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import EventGraph, EventKind
+from .events import Event, EventGraph, EventKind
 from .maxplus import MaxExpr, MinExpr
 from .patterns import EndSet, EventPattern
 
 Case = Tuple[Tuple[int, bool], ...]
+#: a branch case as ``(assigned, values)`` bitmasks over the condition index
+Bits = Tuple[int, int]
 
 
 class OracleLimitError(Exception):
@@ -48,16 +59,57 @@ class TimingOracle:
     def __init__(self, graph: EventGraph, max_cases: int = 4096):
         self.graph = graph
         self.max_cases = max_cases
-        self._ts_cache: Dict[Tuple[Case, int], MaxExpr] = {}
+        self._ts_cache: Dict[Tuple[int, int, int], MaxExpr] = {}
         self._candidates_cache: Dict[Tuple[int, str, str, bool], Tuple[int, ...]] = {}
-        self._relevant_conds: Optional[frozenset] = None
-        self._cond_cones_cache = None
+        self._relevant_mask: Optional[int] = None
+        self._cond_bits: Optional[Dict[int, int]] = None
+        self._cones: List[int] = []
+        self._earlier_syncs: List[Tuple[int, ...]] = []
         self._verdict_cache: Dict[tuple, bool] = {}
+
+    # ------------------------------------------------------------------
+    # condition index and cones
+    # ------------------------------------------------------------------
+    def _index(self) -> Dict[int, int]:
+        """Bit of each branch condition (in condition-id order), and per
+        event its cone mask and the earlier same-message syncs a sync is
+        serialized behind.  Computed once, in topological order."""
+        if self._cond_bits is not None:
+            return self._cond_bits
+        g = self.graph
+        conds = sorted({ev.cond_id for ev in g.events
+                        if ev.kind is EventKind.BRANCH})
+        bits = {cond: 1 << i for i, cond in enumerate(conds)}
+        cones = self._cones
+        for ev in g.events:
+            acc = 0
+            for p in ev.preds:
+                acc |= cones[p]
+            earlier: Tuple[int, ...] = ()
+            if ev.kind is EventKind.BRANCH:
+                acc |= bits[ev.cond_id]
+            elif ev.kind is EventKind.SYNC:
+                earlier = tuple(other.eid for other in
+                                g.sync_events(ev.endpoint, ev.message)
+                                if other.eid < ev.eid)
+                for other in earlier:
+                    acc |= cones[other]
+            cones.append(acc)
+            self._earlier_syncs.append(earlier)
+        self._cond_bits = bits
+        return bits
+
+    def _render(self, assigned: int, values: int) -> str:
+        """A case as ``c3=1 c7=0`` (conditions in id order)."""
+        return " ".join(
+            f"c{cond}={1 if values & bit else 0}"
+            for cond, bit in self._index().items() if assigned & bit
+        ) or "(none)"
 
     # ------------------------------------------------------------------
     # branch-condition relevance
     # ------------------------------------------------------------------
-    def _timing_relevant_conditions(self) -> frozenset:
+    def _timing_relevant_mask(self) -> int:
         """Conditions that can influence *when* some event occurs.
 
         A condition whose two arms contain only zero-time events (``#0``
@@ -66,143 +118,145 @@ class TimingOracle:
         gate reachability of ``e``: branch arms add their condition, an
         any-join intersects (either arm reaches it), everything else
         unions over its predecessors."""
-        if self._relevant_conds is not None:
-            return self._relevant_conds
-        g = self.graph
-        # gated sets hold (cond_id, polarity) pairs: the join of the two
-        # arms of one condition intersects to nothing, i.e. becomes
-        # unconditional again
-        gated: Dict[int, frozenset] = {}
-        for ev in g.events:
+        if self._relevant_mask is not None:
+            return self._relevant_mask
+        bits = self._index()
+        cones = self._cones
+        events = self.graph.events
+        # gated conditions per polarity: the join of the two arms of one
+        # condition intersects to nothing, i.e. becomes unconditional again
+        pos: List[int] = []
+        neg: List[int] = []
+        for ev in events:
             if not ev.preds:
-                gated[ev.eid] = frozenset()
+                pos.append(0)
+                neg.append(0)
                 continue
-            sets = [gated[p] for p in ev.preds]
             if ev.kind is EventKind.JOIN_ANY:
-                acc = sets[0]
-                for s in sets[1:]:
-                    acc = acc & s
+                p_acc, n_acc = pos[ev.preds[0]], neg[ev.preds[0]]
+                for p in ev.preds[1:]:
+                    p_acc &= pos[p]
+                    n_acc &= neg[p]
             else:
-                acc = frozenset().union(*sets)
+                p_acc = n_acc = 0
+                for p in ev.preds:
+                    p_acc |= pos[p]
+                    n_acc |= neg[p]
             if ev.kind is EventKind.BRANCH:
-                acc = acc | {(ev.cond_id, ev.polarity)}
-            gated[ev.eid] = acc
-        candidates = set()
-        for ev in g.events:
+                if ev.polarity:
+                    p_acc |= bits[ev.cond_id]
+                else:
+                    n_acc |= bits[ev.cond_id]
+            pos.append(p_acc)
+            neg.append(n_acc)
+        candidates = 0
+        for ev in events:
             takes_time = (
                 (ev.kind is EventKind.DELAY and ev.delay > 0)
                 or (ev.kind is EventKind.SYNC and ev.static_slack != 0)
             )
             if takes_time:
-                candidates.update(c for c, _pol in gated[ev.eid])
+                candidates |= pos[ev.eid] | neg[ev.eid]
         # a candidate is only truly relevant if flipping it shifts the
         # timestamp of some event *outside* its arms (balanced branches,
-        # e.g. a one-cycle register write on both sides, do not)
-        relevant = set()
-        for cond in candidates:
+        # e.g. a one-cycle register write on both sides, do not).  Events
+        # whose cone excludes the candidate keep their all-transparent
+        # approximation under both values, so only in-cone events are
+        # recomputed and compared.
+        base: List[MaxExpr] = []
+        for ev in events:
+            base.append(_approx_step(ev, [base[p] for p in ev.preds], False))
+        relevant = 0
+        for bit in bits.values():
+            if not candidates & bit:
+                continue
             memo_t: Dict[int, MaxExpr] = {}
             memo_f: Dict[int, MaxExpr] = {}
-            for ev in g.events:
-                if any(c == cond for c, _pol in gated[ev.eid]):
+            for ev in events:
+                if not cones[ev.eid] & bit:
                     continue
-                t_true = self._ts_approx(ev.eid, cond, True, memo_t)
-                t_false = self._ts_approx(ev.eid, cond, False, memo_f)
-                if t_true != t_false:
-                    relevant.add(cond)
+                flips = ev.kind is EventKind.BRANCH and \
+                    bits[ev.cond_id] == bit
+                t_true = _approx_step(
+                    ev, [memo_t.get(p, base[p]) for p in ev.preds],
+                    flips and not ev.polarity)
+                t_false = _approx_step(
+                    ev, [memo_f.get(p, base[p]) for p in ev.preds],
+                    flips and ev.polarity)
+                memo_t[ev.eid] = t_true
+                memo_f[ev.eid] = t_false
+                if not (pos[ev.eid] | neg[ev.eid]) & bit and \
+                        t_true != t_false:
+                    relevant |= bit
                     break
-        self._relevant_conds = frozenset(relevant)
-        return self._relevant_conds
-
-    def _ts_approx(self, eid: int, cond: int, value: bool,
-                   memo: Dict[int, MaxExpr]) -> MaxExpr:
-        """Approximate timestamps for the relevance analysis: the single
-        condition ``cond`` is fixed, every other condition is transparent
-        and any-joins take the max over reachable sides (a sound common
-        upper shape -- only *equality across the two cases* is used)."""
-        cached = memo.get(eid)
-        if cached is not None:
-            return cached
-        ev = self.graph[eid]
-        if ev.kind is EventKind.ROOT:
-            out = MaxExpr.zero()
-        elif ev.kind is EventKind.BRANCH:
-            if ev.cond_id == cond and ev.polarity != value:
-                out = MaxExpr.inf()
-            else:
-                out = MaxExpr.maximum(
-                    self._ts_approx(p, cond, value, memo) for p in ev.preds
-                )
-        elif ev.kind is EventKind.JOIN_ANY:
-            alts = [
-                self._ts_approx(p, cond, value, memo) for p in ev.preds
-            ]
-            reachable = [a for a in alts if not a.infinite]
-            out = (
-                MaxExpr.maximum(reachable) if reachable else MaxExpr.inf()
-            )
-        else:
-            base = MaxExpr.maximum(
-                self._ts_approx(p, cond, value, memo) for p in ev.preds
-            )
-            if ev.kind is EventKind.DELAY:
-                out = base.shifted(ev.delay)
-            elif ev.kind is EventKind.SYNC:
-                if ev.static_slack is not None:
-                    out = base.shifted(ev.static_slack)
-                else:
-                    out = base.with_var(ev.eid)
-            else:
-                out = base
-        memo[eid] = out
-        return out
+        self._relevant_mask = relevant
+        return relevant
 
     # ------------------------------------------------------------------
     # timestamps
     # ------------------------------------------------------------------
     def ts(self, eid: int, case: Case) -> MaxExpr:
-        """Max-plus timestamp of event ``eid`` under branch case ``case``.
+        """Max-plus timestamp of event ``eid`` under branch case ``case``,
+        given as ``((cond, value), ...)``.
 
-        ``case`` must assign every branch condition occurring among the
-        ancestors of ``eid`` (guaranteed when callers build cases with
-        :meth:`_relevant_conditions`).
+        ``case`` must assign every timing-relevant branch condition
+        occurring among the ancestors of ``eid`` (guaranteed when callers
+        build cases with :meth:`_cases`); an unassigned branch is taken.
         """
-        key = (case, eid)
+        bits = self._index()
+        assigned = values = 0
+        for cond, value in case:
+            bit = bits.get(cond, 0)  # a condition absent here gates nothing
+            assigned |= bit
+            if value:
+                values |= bit
+        return self._ts(eid, assigned, values)
+
+    def _ts(self, eid: int, assigned: int, values: int) -> MaxExpr:
+        """:meth:`ts` on a bitmask case.  The case is projected onto the
+        cone of ``eid`` first: the timestamp reads no other condition, so
+        every case agreeing on the cone shares one cache entry."""
+        cone = self._cones[eid]
+        assigned &= cone
+        values &= assigned
+        key = (eid, assigned, values)
         cached = self._ts_cache.get(key)
         if cached is not None:
             return cached
         ev = self.graph[eid]
-        assignment = dict(case)
         if ev.kind is EventKind.ROOT:
             out = MaxExpr.zero()
         elif ev.kind is EventKind.DELAY:
             out = MaxExpr.maximum(
-                self.ts(p, case) for p in ev.preds
+                self._ts(p, assigned, values) for p in ev.preds
             ).shifted(ev.delay)
         elif ev.kind is EventKind.SYNC:
-            parts = [self.ts(p, case) for p in ev.preds]
+            parts = [self._ts(p, assigned, values) for p in ev.preds]
             # Successive synchronizations of one message share a single
             # handshake resource and are serialized in program order; a
             # later sync can therefore never complete before an earlier
             # one.  (This matters for overlapped `recursive` iterations.)
             if not any(p.infinite for p in parts):
-                for other in self.graph.sync_events(ev.endpoint, ev.message):
-                    if other.eid < ev.eid:
-                        t = self.ts(other.eid, case)
-                        if not t.infinite:
-                            parts.append(t)
+                for other in self._earlier_syncs[eid]:
+                    t = self._ts(other, assigned, values)
+                    if not t.infinite:
+                        parts.append(t)
             base = MaxExpr.maximum(parts)
             if ev.static_slack is not None:
                 out = base.shifted(ev.static_slack)
             else:
                 out = base.with_var(ev.eid)
         elif ev.kind is EventKind.BRANCH:
-            taken = assignment.get(ev.cond_id, ev.polarity) == ev.polarity
+            bit = self._cond_bits[ev.cond_id]
+            taken = not assigned & bit or bool(values & bit) == ev.polarity
             if not taken:
                 out = MaxExpr.inf()
             else:
-                out = MaxExpr.maximum(self.ts(p, case) for p in ev.preds)
+                out = MaxExpr.maximum(
+                    self._ts(p, assigned, values) for p in ev.preds
+                )
         elif ev.kind is EventKind.JOIN_ANY:
-            alts = [self.ts(p, case) for p in ev.preds]
+            alts = [self._ts(p, assigned, values) for p in ev.preds]
             reachable = [a for a in alts if not a.infinite]
             if not reachable:
                 out = MaxExpr.inf()
@@ -220,10 +274,13 @@ class TimingOracle:
                 else:
                     raise OracleLimitError(
                         f"join e{eid} has multiple reachable branches under "
-                        f"case {case}; condition set was incomplete"
+                        f"case {self._render(assigned, values)}; condition "
+                        f"set was incomplete"
                     )
         elif ev.kind is EventKind.JOIN_ALL:
-            out = MaxExpr.maximum(self.ts(p, case) for p in ev.preds)
+            out = MaxExpr.maximum(
+                self._ts(p, assigned, values) for p in ev.preds
+            )
         else:  # pragma: no cover - exhaustive
             raise AssertionError(ev.kind)
         self._ts_cache[key] = out
@@ -253,10 +310,10 @@ class TimingOracle:
         return result
 
     def _pattern_alts(
-        self, pattern: EventPattern, case: Case, upper: bool
+        self, pattern: EventPattern, case: Bits, upper: bool
     ) -> List[MaxExpr]:
         """Alternatives (min-candidates) for an event pattern under a case."""
-        base_ts = self.ts(pattern.base, case)
+        base_ts = self._ts(pattern.base, *case)
         if base_ts.infinite:
             return []  # pattern base never reached: treated as vacuous
         dur = pattern.duration
@@ -265,16 +322,16 @@ class TimingOracle:
         cands = self._candidates(pattern.base, dur.endpoint, dur.message, upper)
         alts = []
         for c in cands:
-            t = self.ts(c, case)
+            t = self._ts(c, *case)
             if not t.infinite:
                 alts.append(t)
         return alts
 
-    def _endset_expr(self, end: EndSet, case: Case, upper: bool) -> MinExpr:
+    def _endset_expr(self, end: EndSet, case: Bits, upper: bool) -> MinExpr:
         """MinExpr bound for an :class:`EndSet` (infinite when eternal)."""
         return self._endset_state(end, case, upper)[0]
 
-    def _endset_state(self, end: EndSet, case: Case, upper: bool
+    def _endset_state(self, end: EndSet, case: Bits, upper: bool
                       ) -> Tuple[MinExpr, bool]:
         """Bound plus reachability: the second component is False when every
         pattern base is unreachable in this case (the interval -- and hence
@@ -284,7 +341,7 @@ class TimingOracle:
         alts: List[MaxExpr] = []
         reachable = False
         for p in end.patterns:
-            if not self.ts(p.base, case).infinite:
+            if not self._ts(p.base, *case).infinite:
                 reachable = True
             alts.extend(self._pattern_alts(p, case, upper))
         if not alts:
@@ -307,53 +364,29 @@ class TimingOracle:
                     )
         return involved
 
-    def _cond_cones(self):
-        """Per-event set of branch conditions that can influence its
-        timestamp: conditions of its ancestor cone, closed over the
-        serialized earlier same-message syncs (they feed the sync's
-        timestamp).  Computed once, in topological order."""
-        if self._cond_cones_cache is not None:
-            return self._cond_cones_cache
-        g = self.graph
-        cones = []
-        for ev in g.events:
-            acc = set()
-            for p in ev.preds:
-                acc |= cones[p]
-            if ev.kind is EventKind.BRANCH:
-                acc.add(ev.cond_id)
-            elif ev.kind is EventKind.SYNC:
-                for other in g.sync_events(ev.endpoint, ev.message):
-                    if other.eid < ev.eid:
-                        acc |= cones[other.eid]
-            cones.append(frozenset(acc))
-        self._cond_cones_cache = cones
-        return cones
-
-    def _cases(self, eids: Iterable[int], ends: Iterable[EndSet] = (),
-               all_conds: bool = False):
-        """Enumerate branch cases.  By default only *timing-relevant*
-        conditions are expanded (others cannot shift any timestamp);
-        ``all_conds`` forces full expansion over the events' own gating
-        conditions, which reachability questions (mutual exclusion) need."""
-        involved = self._involved_events(eids, ends)
-        cones = self._cond_cones()
-        conds_set = set()
-        for eid in involved:
-            conds_set |= cones[eid]
-        if not all_conds:
-            relevant = self._timing_relevant_conditions()
-            conds_set &= relevant
-        conds = sorted(conds_set)
-        n = len(conds)
+    def _cases(self, eids: Iterable[int], ends: Iterable[EndSet] = ()
+               ) -> List[Bits]:
+        """Every branch case over the *timing-relevant* conditions in the
+        cones of the involved events (others cannot shift any timestamp).
+        Case ``m`` sets the ``i``-th such condition (in id order) to bit
+        ``i`` of ``m``."""
+        self._index()
+        assigned = 0
+        for eid in self._involved_events(eids, ends):
+            assigned |= self._cones[eid]
+        assigned &= self._timing_relevant_mask()
+        n = bin(assigned).count("1")
         if 2**n > self.max_cases:
             raise OracleLimitError(
                 f"{n} relevant branch conditions exceed the case limit"
             )
-        for mask in range(2**n):
-            yield tuple(
-                (cond, bool(mask >> i & 1)) for i, cond in enumerate(conds)
-            )
+        values = [0]
+        rest = assigned
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            values += [v | bit for v in values]
+        return [(assigned, v) for v in values]
 
     # ------------------------------------------------------------------
     # public comparisons
@@ -370,11 +403,11 @@ class TimingOracle:
         return out
 
     def _event_le(self, a: int, b: int) -> bool:
-        for case in self._cases((a, b)):
-            ta = self.ts(a, case)
+        for assigned, values in self._cases((a, b)):
+            ta = self._ts(a, assigned, values)
             if ta.infinite:
                 continue  # vacuous in this case
-            if not ta.le(self.ts(b, case)):
+            if not ta.le(self._ts(b, assigned, values)):
                 return False
         return True
 
@@ -388,11 +421,11 @@ class TimingOracle:
         return out
 
     def _event_lt(self, a: int, b: int) -> bool:
-        for case in self._cases((a, b)):
-            ta = self.ts(a, case)
+        for assigned, values in self._cases((a, b)):
+            ta = self._ts(a, assigned, values)
             if ta.infinite:
                 continue
-            if not ta.lt(self.ts(b, case)):
+            if not ta.lt(self._ts(b, assigned, values)):
                 return False
         return True
 
@@ -411,7 +444,7 @@ class TimingOracle:
 
     def _event_le_end(self, a: int, end: EndSet, shift: int = 0) -> bool:
         for case in self._cases((a,), (end,)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, *case)
             if ta.infinite:
                 continue
             bound = self._endset_expr(end, case, upper=False)
@@ -435,7 +468,7 @@ class TimingOracle:
 
     def _end_le_event(self, end: EndSet, a: int, shift: int = 0) -> bool:
         for case in self._cases((a,), (end,)):
-            ta = self.ts(a, case)
+            ta = self._ts(a, *case)
             if ta.infinite:
                 continue
             bound, reachable = self._endset_state(end, case, upper=True)
@@ -490,3 +523,26 @@ class TimingOracle:
         if not self.event_le(outer_start, inner_start):
             return False
         return self.end_le_end(inner_end, outer_end)
+
+
+def _approx_step(ev: Event, parts: Sequence[MaxExpr], cut: bool) -> MaxExpr:
+    """One event of the relevance analysis' approximate timestamps, from
+    its predecessors' (``parts``): every branch is transparent except a
+    ``cut`` one (the fixed condition's other arm), and any-joins take the
+    max over reachable sides (a sound common upper shape -- only
+    *equality across the two values* of a condition is used)."""
+    if ev.kind is EventKind.ROOT:
+        return MaxExpr.zero()
+    if ev.kind is EventKind.BRANCH:
+        return MaxExpr.inf() if cut else MaxExpr.maximum(parts)
+    if ev.kind is EventKind.JOIN_ANY:
+        reachable = [a for a in parts if not a.infinite]
+        return MaxExpr.maximum(reachable) if reachable else MaxExpr.inf()
+    base = MaxExpr.maximum(parts)
+    if ev.kind is EventKind.DELAY:
+        return base.shifted(ev.delay)
+    if ev.kind is EventKind.SYNC:
+        if ev.static_slack is not None:
+            return base.shifted(ev.static_slack)
+        return base.with_var(ev.eid)
+    return base

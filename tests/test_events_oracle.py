@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.events import EventGraph, EventKind, SyncDir
-from repro.core.oracle import TimingOracle
+from repro.core.oracle import OracleLimitError, TimingOracle
 from repro.core.patterns import Duration, EndSet
 
 
@@ -195,3 +195,61 @@ class TestOraclePatterns:
         outer = EndSet.single(d2.eid, Duration.static(4))
         assert o.lifetime_within(d2.eid, inner, r.eid, outer)
         assert not o.lifetime_within(r.eid, outer, d2.eid, inner)
+
+
+class TestOracleProjection:
+    def test_error_names_the_case_on_the_cone(self):
+        """An any-join of two events that are both reachable names the
+        case its timestamp was computed under, condition by condition."""
+        g = EventGraph()
+        r = g.root()
+        other = g.add(EventKind.BRANCH, (r.eid,), cond_id=7, polarity=True)
+        bt = g.add(EventKind.BRANCH, (r.eid,), cond_id=3, polarity=True)
+        d1 = g.add(EventKind.DELAY, (bt.eid,), delay=1)
+        d2 = g.add(EventKind.DELAY, (r.eid,), delay=2)
+        j = g.add(EventKind.JOIN_ANY, (d1.eid, d2.eid))
+        o = TimingOracle(g)
+        with pytest.raises(OracleLimitError) as exc:
+            o.ts(j.eid, ((3, True), (7, False)))
+        assert str(exc.value) == (
+            f"join e{j.eid} has multiple reachable branches under case "
+            f"c3=1; condition set was incomplete")
+        assert o.ts(other.eid, ((7, False),)).infinite
+
+    def test_cases_agreeing_on_the_cone_share_one_timestamp(self):
+        g = EventGraph()
+        r = g.root()
+        arms = []
+        for cond in (0, 1):
+            for pol, delay in ((True, 1), (False, 2)):
+                b = g.add(EventKind.BRANCH, (r.eid,), cond_id=cond,
+                          polarity=pol)
+                arms.append(g.add(EventKind.DELAY, (b.eid,), delay=delay))
+        j0 = g.add(EventKind.JOIN_ANY, (arms[0].eid, arms[1].eid))
+        o = TimingOracle(g)
+        for c1 in (False, True):
+            assert o.ts(j0.eid, ((0, True), (1, c1))).evaluate({}) == 1
+        assert o.ts(j0.eid, ((0, False),)).evaluate({}) == 2
+        # j0 reads only condition 0: the three cases made two entries
+        # for it (and one each for its arms and the root)
+        assert sum(1 for key in o._ts_cache if key[0] == j0.eid) == 2
+
+
+def test_y86_check_builds_few_distinct_timestamps(monkeypatch):
+    """Work-counter gate on the timestamp cache: the ``y86_core`` check
+    computes each timestamp once per assignment of the conditions in its
+    cone.  A cache keyed on the full case builds 1,232,086 entries."""
+    from repro import check_process
+    from repro.anvil_designs.y86 import y86_core
+    from repro.core import typecheck
+
+    oracles = []
+
+    class Counted(TimingOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            oracles.append(self)
+
+    monkeypatch.setattr(typecheck, "TimingOracle", Counted)
+    assert check_process(y86_core()).ok
+    assert sum(len(o._ts_cache) for o in oracles) <= 296_717
