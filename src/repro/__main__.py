@@ -295,6 +295,10 @@ def cmd_run(args) -> int:
     print(f"  total activity: {result.total_activity} toggles across "
           f"{len(result.activity)} wires, "
           f"{result.diagnostics['modules']} modules")
+    fsm = result.diagnostics.get("fsm")
+    if fsm is not None:
+        print(f"  compiled threads: {fsm['fixed_state']} fixed-state, "
+              f"{fsm['fallback']} on the activation glue")
     if "resumed_from" in result.diagnostics:
         print(f"  resumed from cycle {result.diagnostics['resumed_from']} "
               f"({result.diagnostics['simulated_cycles']} simulated)")

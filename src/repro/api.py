@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .codegen.simfsm import BACKENDS
+from .codegen.simfsm import BACKENDS, fsm_report
 from .rtl.batch import MAX_BATCH, BatchSimulator, _env_batch, run_batch
 from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
 from .rtl.simulator import ENGINES, Simulator, run_guarded
@@ -578,6 +578,9 @@ def _result_of(name: str, config: SimConfig, sim: Simulator,
         "watched_signals": len(sim.waveform.samples),
         "final_cycle": sim.cycle,
     }
+    fsm = fsm_report(sim)
+    if fsm is not None:
+        diagnostics["fsm"] = fsm
     diagnostics.update(extra_diagnostics or {})
     return RunResult(
         scenario=name,
@@ -613,6 +616,8 @@ def _result_from_scenario_run(config: SimConfig, run: ScenarioRun,
         "final_cycle": run.final_cycle,
         "job_seconds": run.seconds,
     }
+    if run.fsm is not None:
+        diagnostics["fsm"] = run.fsm
     if run.resumed_from:
         diagnostics["resumed_from"] = run.resumed_from
         diagnostics["simulated_cycles"] = run.cycles - run.resumed_from

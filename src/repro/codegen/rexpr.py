@@ -40,12 +40,12 @@ class RExpr:
 
     def to_python(self, ctx) -> str:  # pragma: no cover - interface
         """Emit a Python expression computing exactly what :meth:`eval`
-        returns.  The expression may reference the names the generated
-        backend binds locally -- ``_r`` (register file), ``_sl``
-        (committed slots), ``_ov`` (same-cycle overlay) -- plus whatever
-        ``ctx`` hands out: ``ctx.ready(ep, msg)`` for handshake
-        observations, ``ctx.const(value)`` for pooled constants and
-        ``ctx.temp()`` for fresh local names."""
+        returns.  The expression may reference ``_r`` (the register file
+        the generated backend binds locally) plus whatever ``ctx`` hands
+        out: ``ctx.slot(n)`` for the current value of slot ``n`` (the
+        same-cycle overlay over the committed slots), ``ctx.ready(ep,
+        msg)`` for handshake observations, ``ctx.const(value)`` for
+        pooled constants and ``ctx.temp()`` for fresh local names."""
         raise NotImplementedError
 
     def gate_count(self) -> Dict[str, int]:
@@ -116,9 +116,7 @@ class RSlot(RExpr):
         return mask(env.slots.get(self.slot, 0), self.width)
 
     def to_python(self, ctx):
-        s = self.slot
-        return (f"((_ov[{s}] if {s} in _ov else _sl.get({s}, 0))"
-                f" & {(1 << self.width) - 1})")
+        return f"({ctx.slot(self.slot)} & {(1 << self.width) - 1})"
 
     def __repr__(self):
         return f"slot{self.slot}" + (f"({self.note})" if self.note else "")

@@ -9,13 +9,23 @@ split into three layers:
    :func:`repro.core.fsmplan.build_process_plan` into a backend-neutral
    **FSM plan** (per-thread firing order, latch/commit specs, the exact
    handshake sensitivity sets);
-2. :class:`AnvilProcessModule` owns the run-time state -- activations,
-   per-activation slots, the register file, handshake ports -- and the
-   **reference interpreter** that walks the plan cycle by cycle;
-3. ``backend="pycompiled"`` swaps the interpreter's per-thread fire and
-   commit steps for functions generated, ``compile()``d and ``exec``'d
-   from the same plan by :mod:`repro.codegen.pysim` -- semantically
-   identical, several times faster.
+2. :class:`AnvilProcessModule` owns the run-time state -- the register
+   file, handshake ports, per-thread activations -- and the **reference
+   interpreter** (``backend="interp"``): a list of :class:`Activation`
+   objects per thread (fired/dead dicts and sets, slot dicts), walked
+   event by event every settle pass, deduplicated at every edge.  It is
+   the oracle the generated backend is tested against;
+3. ``backend="pycompiled"`` replaces ``eval_comb``/``tick`` with the
+   pair :mod:`repro.codegen.pysim` generates from the same plan.
+   Threads that qualify from the plan
+   (:func:`repro.codegen.pysim.fixed_state_reason`) run as fixed-state
+   FSMs -- plain-int state in ``_fsm``, no activation objects at all;
+   the rest (threads whose iteration can outlive its respawn, such as
+   ``recursive`` ones) keep
+   generated per-activation fire/commit functions driven by the same
+   activation glue the interpreter uses (``_glue_eval``/``_glue_tick``).
+   :attr:`AnvilProcessModule.fsm_paths` says which thread took which
+   path and why.
 
 Execution semantics (identical across backends):
 
@@ -35,6 +45,7 @@ which is why the generated hardware carries no lifetime bookkeeping.
 from __future__ import annotations
 
 from functools import partial
+from types import MethodType
 from typing import Dict, List, Optional, Tuple
 
 from ..core.events import EventGraph, EventKind, SyncDir
@@ -155,16 +166,20 @@ class Activation:
 class AnvilProcessModule(Module):
     """Run-time instance of a compiled process.
 
-    ``backend`` selects how the per-thread fire (settle pass) and commit
-    (clock edge) steps execute: ``"interp"`` walks the plan with the
-    reference interpreter; ``"pycompiled"`` calls the generated-Python
-    functions from :mod:`repro.codegen.pysim`.  Everything else --
-    activation bookkeeping, spawning, deduplication, retirement -- is
-    shared, so the two backends are observationally identical.
+    ``backend="interp"`` walks the plan with the reference interpreter;
+    ``backend="pycompiled"`` runs the ``eval_comb``/``tick`` pair
+    generated by :mod:`repro.codegen.pysim`.  The two are
+    observationally identical.  All run-time state lives in plain-data
+    attributes (``regs``, ``cycle``, ``debug_log`` and ``_``-prefixed
+    bookkeeping), so snapshots capture and restore it as is and fault
+    injection sees the same sites under either backend.
     """
 
     MAX_ACTIVATIONS = 64
     MAX_SPAWNS_PER_CYCLE = 16
+    #: per-thread fixed-state records (``pycompiled`` only; None marks a
+    #: thread run by the activation glue)
+    _fsm: Optional[List[Optional[tuple]]] = None
 
     def __init__(self, compiled: CompiledProcess, name: str = "",
                  backend: str = "interp"):
@@ -199,17 +214,46 @@ class AnvilProcessModule(Module):
         self._pw: List[Optional[Wire]] = [None] * (3 * len(self.plan.ports))
         self._ready_wires: Dict[Tuple[str, str], Wire] = {}
         self._release_wires: List[Wire] = []   # handshake outputs to drop
+        # per-activation fire/commit steps of the activation glue: the
+        # interpreter's, or generated ones for pycompiled fallback threads
+        self._fire = [partial(self._interp_fire, tp)
+                      for tp in self.plan.threads]
+        self._commit = [partial(self._interp_commit, tp)
+                        for tp in self.plan.threads]
         if backend == "pycompiled":
             from .pysim import backend_for
 
-            be = backend_for(self.plan)
-            self._fire = [partial(f, self) for f in be.fire]
-            self._commit = [partial(c, self) for c in be.commit]
-        else:
-            self._fire = [partial(self._interp_fire, tp)
-                          for tp in self.plan.threads]
-            self._commit = [partial(self._interp_commit, tp)
-                            for tp in self.plan.threads]
+            be = self._pysim = backend_for(self.plan)
+            for ti, (f, c) in enumerate(zip(be.fire, be.commit)):
+                if f is not None:
+                    self._fire[ti] = partial(f, self)
+                    self._commit[ti] = partial(c, self)
+            self._init_fixed_state()
+            # instance attributes shadow the interpreter's methods, so
+            # the schedulers and the cycle kernel call the generated
+            # functions directly
+            self.eval_comb = MethodType(be.eval, self)
+            self.tick = MethodType(be.tick, self)
+
+    def _init_fixed_state(self):
+        be = self._pysim
+        self._fsm = [lay.initial if lay is not None else None
+                     for lay in be.layouts]
+        self._fsx: List[Optional[list]] = [None] * len(be.layouts)
+        self._fst: Optional[int] = None   # cycle of the last settle pass
+        #: fixed-state threads handed to the activation glue, and why
+        self._demoted: Dict[int, str] = {}
+
+    @property
+    def fsm_paths(self) -> Dict[int, Optional[str]]:
+        """Per thread: None when it runs as a fixed-state FSM, else the
+        reason it runs on the activation glue.  Empty under ``interp``,
+        which runs no generated code."""
+        if self.backend != "pycompiled":
+            return {}
+        out = dict(enumerate(self._pysim.paths))
+        out.update(self._demoted)
+        return out
 
     # -- wiring -----------------------------------------------------------
     def bind_endpoint(self, endpoint: str, side: Side,
@@ -275,17 +319,28 @@ class AnvilProcessModule(Module):
     # -- combinational phase ---------------------------------------------
     def eval_comb(self):
         if not self._started:
-            for ti in range(len(self.plan.threads)):
-                if not self._threads_rt[ti]:
-                    self._threads_rt[ti].append(Activation(0))
-            self._started = True
+            self._start()
         # release our handshake outputs, then re-drive below
         for w in self._release_wires:
             w.value = 0
-        for ti, tp in enumerate(self.plan.threads):
-            self._tentative[ti] = []
-            acts = [a for a in self._threads_rt[ti] if not a.retired]
-            self._eval_thread(ti, tp, acts, self._tentative[ti])
+        for ti in range(len(self.plan.threads)):
+            self._glue_eval(ti)
+
+    def _start(self):
+        fixed = self._fsm
+        for ti in range(len(self.plan.threads)):
+            if fixed is not None and fixed[ti] is not None:
+                continue
+            if not self._threads_rt[ti]:
+                self._threads_rt[ti].append(Activation(0))
+        self._started = True
+
+    def _glue_eval(self, ti: int):
+        """The settle pass of one thread's activation list."""
+        self._tentative[ti] = []
+        acts = [a for a in self._threads_rt[ti] if not a.retired]
+        self._eval_thread(ti, self.plan.threads[ti], acts,
+                          self._tentative[ti])
 
     def _eval_thread(self, ti: int, tp: ThreadPlan, acts: List[Activation],
                      tentative: List[Activation]):
@@ -491,65 +546,138 @@ class AnvilProcessModule(Module):
 
     # -- clock edge ---------------------------------------------------------
     def tick(self):
-        for ti, tp in enumerate(self.plan.threads):
-            acts = self._threads_rt[ti]
-            acts.extend(self._tentative[ti])
-            self._tentative[ti] = []
-            fire = self._fire[ti]
-            commit = self._commit[ti]
-            n_events = tp.n_events
-            busy: set = set()
-            for act in acts:
-                if act.retired:
-                    continue
-                cache = act.cache
-                act.cache = None
-                if cache is not None and cache[0] == self.cycle:
-                    # the settle phase already computed this activation's
-                    # fire set on the settled wires; reuse it
-                    _cyc, fired_now, dead_now, overlay = cache
-                else:
-                    fired_now, dead_now, overlay = fire(act, busy)
-                act.dead.update(dead_now)
-                commit(act, fired_now, overlay)
-                if tp.anchor in fired_now:
-                    act.spawned = True
-                if len(act.fired) + len(act.dead) == n_events:
-                    act.retired = True
-            live = [a for a in acts if not a.retired]
-            if len(live) < 2:
-                self._threads_rt[ti] = live
-                continue
-            # Activations with identical FSM state are indistinguishable
-            # (the generated hardware holds one copy of that state); keep
-            # only the oldest of each equivalence class.  This is what
-            # stops stalled `recursive` iterations from piling up.
-            seen_states = set()
-            deduped = []
-            for a in live:
-                dues = []
-                for eid, preds, delay in tp.delays:
-                    if eid not in a.fired and eid not in a.dead and preds \
-                            and all(p in a.fired for p in preds):
-                        base = max(a.fired[p] for p in preds)
-                        dues.append((eid, base + delay - self.cycle))
-                key = (
-                    frozenset(a.fired),
-                    frozenset(a.dead),
-                    tuple(sorted(a.slots.items())),
-                    tuple(sorted(dues)),
-                    a.spawned,
-                )
-                if key in seen_states:
-                    continue
-                seen_states.add(key)
-                deduped.append(a)
-            self._threads_rt[ti] = deduped
+        for ti in range(len(self.plan.threads)):
+            self._glue_tick(ti)
         for reg, value in self._reg_writes:
             dtype = self.process.registers[reg].dtype
             self.regs[reg] = dtype.mask(value)
         self._reg_writes = []
         self.cycle += 1
+
+    def _glue_tick(self, ti: int):
+        """The clock edge of one thread's activation list."""
+        tp = self.plan.threads[ti]
+        acts = self._threads_rt[ti]
+        acts.extend(self._tentative[ti])
+        self._tentative[ti] = []
+        fire = self._fire[ti]
+        commit = self._commit[ti]
+        n_events = tp.n_events
+        busy: set = set()
+        for act in acts:
+            if act.retired:
+                continue
+            cache = act.cache
+            act.cache = None
+            if cache is not None and cache[0] == self.cycle:
+                # the settle phase already computed this activation's
+                # fire set on the settled wires; reuse it
+                _cyc, fired_now, dead_now, overlay = cache
+            else:
+                fired_now, dead_now, overlay = fire(act, busy)
+            act.dead.update(dead_now)
+            commit(act, fired_now, overlay)
+            if tp.anchor in fired_now:
+                act.spawned = True
+            if len(act.fired) + len(act.dead) == n_events:
+                act.retired = True
+        self._threads_rt[ti] = self._dedup(
+            ti, [a for a in acts if not a.retired])
+
+    def _dedup(self, ti: int, live: List[Activation]) -> List[Activation]:
+        """Activations with identical FSM state are indistinguishable
+        (the generated hardware holds one copy of that state); keep
+        only the oldest of each equivalence class.  This is what stops
+        stalled `recursive` iterations from piling up."""
+        if len(live) < 2:
+            return live
+        tp = self.plan.threads[ti]
+        seen_states = set()
+        deduped = []
+        for a in live:
+            dues = []
+            for eid, preds, delay in tp.delays:
+                if eid not in a.fired and eid not in a.dead and preds \
+                        and all(p in a.fired for p in preds):
+                    base = max(a.fired[p] for p in preds)
+                    dues.append((eid, base + delay - self.cycle))
+            key = (
+                frozenset(a.fired),
+                frozenset(a.dead),
+                tuple(sorted(a.slots.items())),
+                tuple(sorted(dues)),
+                a.spawned,
+            )
+            if key in seen_states:
+                continue
+            seen_states.add(key)
+            deduped.append(a)
+        return deduped
+
+    def _activation(self, ti: int, rec: tuple) -> Activation:
+        """The :class:`Activation` a fixed-state record stands for."""
+        lay = self._pysim.layouts[ti]
+        fired, dead = rec[0], rec[1]
+        n_cyc = len(lay.cycles)
+        cycles = dict(zip(lay.cycles, rec[3:3 + n_cyc]))
+        n = self.plan.threads[ti].n_events
+        act = Activation(rec[2])
+        act.fired = {e: cycles.get(e, 0) for e in range(n)
+                     if fired >> e & 1}
+        act.dead = {e for e in range(n) if dead >> e & 1}
+        act.slots = {
+            slot: value
+            for slot, value, events in zip(lay.slots, rec[3 + n_cyc:],
+                                           lay.slot_events)
+            if fired & events
+        }
+        return act
+
+    def _respawned(self, ti: int, passes: List[tuple]):
+        """Clock-edge check of a fixed-state thread whose anchor fired,
+        generated only where the plan cannot prove it unneeded
+        (:attr:`repro.codegen.pysim.FixedLayout.pending`): every pass
+        record but the last is an iteration that respawned.  One that
+        has not resolved every event keeps running beside its
+        successor, so the thread moves to the activation glue with the
+        activations the interpreter would hold."""
+        tp = self.plan.threads[ti]
+        full = (1 << tp.n_events) - 1
+        live = []
+        for rec in passes[:-1]:
+            if rec[0] | rec[1] != full:
+                live.append(self._activation(ti, rec))
+                live[-1].spawned = True
+        if not live:
+            return
+        pending = next(e for e in range(tp.n_events)
+                       if e not in live[0].fired and e not in live[0].dead)
+        self._demoted[ti] = (
+            f"demoted at cycle {self.cycle}: respawned at e{tp.anchor} "
+            f"while e{pending} was unresolved")
+        if passes[-1][0] | passes[-1][1] != full:
+            live.append(self._activation(ti, passes[-1]))
+        self._fsm[ti] = None
+        self._threads_rt[ti] = self._dedup(ti, live)
+
+    def _demote(self, ti: int, settled: Optional[int]):
+        """Hand fixed-state thread ``ti`` to the activation glue, then
+        run its clock edge there.
+
+        Taken when the edge runs at another cycle than the settle pass
+        did (a fault injected into ``cycle``): the interpreter then
+        re-fires every activation at the new cycle, and two may outlive
+        the edge.  The record becomes the activation the interpreter
+        would hold; the child passes of a settle pass since the last
+        edge become the fresh activations it spawned then."""
+        self._demoted[ti] = (
+            f"demoted at cycle {self.cycle}: clock edge ran at another "
+            f"cycle than the settle pass ({settled})")
+        spawned = len(self._fsx[ti]) - 1 if settled is not None else 0
+        self._threads_rt[ti] = [self._activation(ti, self._fsm[ti])]
+        self._tentative[ti] = [Activation(settled) for _ in range(spawned)]
+        self._fsm[ti] = None
+        self._glue_tick(ti)
 
     def reset(self):
         self.regs = {
@@ -561,6 +689,8 @@ class AnvilProcessModule(Module):
         self.cycle = 0
         self._started = False
         self.debug_log = []
+        if self.backend == "pycompiled":
+            self._init_fixed_state()
 
 
 class ExternalEndpoint(Module):
@@ -585,16 +715,23 @@ class ExternalEndpoint(Module):
         self.received: Dict[str, List[Tuple[int, int]]] = {}
         self.sent: Dict[str, List[Tuple[int, int]]] = {}
         self.cycle = 0
-        self._sender_memo: Dict[str, bool] = {
-            m: channel.message(m).sender_side() is side for m in ports
-        }
+        # ports and side are fixed, so split the ports by role once:
+        # (message, valid, data, ack) for each port this side sends on
+        # and each it receives on
+        self._senders = frozenset(
+            m for m in ports
+            if channel.message(m).sender_side() is side)
+        self._tx: Tuple[Tuple[str, Wire, Wire, Wire], ...] = tuple(
+            (m, p.valid, p.data, p.ack) for m, p in ports.items()
+            if m in self._senders)
+        self._rx: Tuple[Tuple[str, Wire, Wire, Wire], ...] = tuple(
+            (m, p.valid, p.data, p.ack) for m, p in ports.items()
+            if m not in self._senders)
 
     def _is_sender(self, message: str) -> bool:
-        hit = self._sender_memo.get(message)
-        if hit is None:
-            hit = self.channel.message(message).sender_side() is self.side
-            self._sender_memo[message] = hit
-        return hit
+        if message in self._senders:
+            return True
+        return self.channel.message(message).sender_side() is self.side
 
     def send(self, message: str, value: int):
         if not self._is_sender(message):
@@ -615,38 +752,38 @@ class ExternalEndpoint(Module):
 
     def comb_outputs(self):
         outs = []
-        for m, port in self.ports.items():
-            if self._is_sender(m):
-                outs.append(port.valid)
-                outs.append(port.data)
-            else:
-                outs.append(port.ack)
+        for _m, valid, data, _ack in self._tx:
+            outs.append(valid)
+            outs.append(data)
+        for _m, _valid, _data, ack in self._rx:
+            outs.append(ack)
         return outs
 
     def eval_comb(self):
-        for m, port in self.ports.items():
-            if self._is_sender(m):
-                queue = self._send_queues.get(m, [])
-                if queue:
-                    port.valid.set(1)
-                    port.data.set(queue[0])
-                else:
-                    port.valid.set(0)
+        queues = self._send_queues
+        for m, valid, data, _ack in self._tx:
+            queue = queues.get(m)
+            if queue:
+                valid.value = 1
+                data.value = queue[0] & data.mask
             else:
-                port.ack.set(1 if self._recv_enabled.get(m) else 0)
+                valid.value = 0
+        enabled = self._recv_enabled
+        for m, _valid, _data, ack in self._rx:
+            ack.value = 1 if enabled.get(m) else 0
 
     def tick(self):
-        for m, port in self.ports.items():
-            if self._is_sender(m):
-                queue = self._send_queues.get(m, [])
-                if queue and port.fires:
+        for m, valid, _data, ack in self._tx:
+            if valid.value and ack.value:
+                queue = self._send_queues.get(m)
+                if queue:
                     value = queue.pop(0)
                     self.sent.setdefault(m, []).append((self.cycle, value))
-            else:
-                if port.fires:
-                    self.received.setdefault(m, []).append(
-                        (self.cycle, port.data.value)
-                    )
+        for m, valid, data, ack in self._rx:
+            if valid.value and ack.value:
+                self.received.setdefault(m, []).append(
+                    (self.cycle, data.value)
+                )
         self.cycle += 1
 
 
@@ -667,6 +804,29 @@ class SimulatedSystem:
     def external(self, chan) -> ExternalEndpoint:
         cid = chan.cid if hasattr(chan, "cid") else chan
         return self.externals[cid]
+
+
+def fsm_report(sim) -> Optional[Dict[str, object]]:
+    """How the compiled processes in ``sim`` execute: the number of
+    threads running as fixed-state FSMs, the number on the activation
+    glue, and why each of the latter is there (keyed
+    ``"<module>.t<thread>"``).  None when ``sim`` runs no generated
+    process (no compiled process, or only ``interp`` ones)."""
+    modules = [m for m in sim.modules
+               if isinstance(m, AnvilProcessModule)
+               and m.backend == "pycompiled"]
+    if not modules:
+        return None
+    fixed = 0
+    reasons: Dict[str, str] = {}
+    for m in modules:
+        for ti, reason in m.fsm_paths.items():
+            if reason is None:
+                fixed += 1
+            else:
+                reasons[f"{m.name}.t{ti}"] = reason
+    return {"fixed_state": fixed, "fallback": len(reasons),
+            "reasons": reasons}
 
 
 def build_simulation(system: System, sim=None, do_optimize: bool = True,

@@ -34,6 +34,7 @@ from typing import Dict
 
 from ..codegen.simfsm import MessagePort
 from ..isa.encoding import (
+    CC_SUFFIXES,
     ICALL,
     IHALT,
     IIRMOVQ,
@@ -65,6 +66,19 @@ from ..rtl.module import Module
 SBUB = 0
 
 _ERROR_STATS = (SHLT, SADR, SINS)
+
+#: instruction code/function and register-id fields are 4 bits wide.
+#: Decode only ever writes 4-bit values into them, but a fault injected
+#: into a pipeline latch can leave any integer there, so every read
+#: masks them like the hardware's 4-bit registers would.
+_NIB = 0xF
+
+
+def _cond(ifun: int, zf: int, sf: int, of: int) -> int:
+    """:func:`~repro.isa.reference.cond` over a 4-bit function field: a
+    code with no condition (reachable only through a corrupted latch)
+    never holds."""
+    return cond(ifun, zf, sf, of) if ifun < len(CC_SUFFIXES) else 0
 
 
 def _bubble() -> Dict[str, int]:
@@ -177,18 +191,20 @@ class Y86PipelineCpu(Module):
             self.stop_pc = W["pc"]
             self.instret += 1
             return
+        w_dste, w_dstm = W["dste"] & _NIB, W["dstm"] & _NIB
         if W["stat"] == SAOK:
-            if W["dste"] != RNONE:
-                self.registers[W["dste"]] = W["vale"]
-            if W["dstm"] != RNONE:
-                self.registers[W["dstm"]] = W["valm"]   # popq %rsp: M wins
+            if w_dste != RNONE:
+                self.registers[w_dste] = W["vale"]
+            if w_dstm != RNONE:
+                self.registers[w_dstm] = W["valm"]   # popq %rsp: M wins
             self.instret += 1
 
         # ---- memory stage
         m_stat = M["stat"]
         m_valm = 0
+        micode = M["icode"] & _NIB
+        m_dste, m_dstm = M["dste"] & _NIB, M["dstm"] & _NIB
         if m_stat == SAOK:
-            micode = M["icode"]
             if micode in (IMRMOVQ, IPOPQ, IRET):
                 addr = M["vala"] if micode in (IPOPQ, IRET) else M["vale"]
                 if self._mem_ok(addr):
@@ -204,8 +220,8 @@ class Y86PipelineCpu(Module):
         m_err = m_stat in _ERROR_STATS
 
         # ---- execute stage
-        eicode = E["icode"]
-        alufun = E["ifun"] if eicode == IOPQ else 0
+        eicode, eifun = E["icode"] & _NIB, E["ifun"] & _NIB
+        alufun = eifun if eicode == IOPQ else 0
         if eicode in (IRRMOVQ,):
             alua, alub = E["vala"], 0
         elif eicode == IIRMOVQ:
@@ -226,44 +242,45 @@ class Y86PipelineCpu(Module):
         if eicode == IOPQ and E["stat"] == SAOK and not m_err \
                 and W["stat"] not in _ERROR_STATS:
             self.zf, self.sf, self.of = e_zf, e_sf, e_of
-        e_cnd = cond(E["ifun"], self.zf, self.sf, self.of) \
+        e_cnd = _cond(eifun, self.zf, self.sf, self.of) \
             if eicode in (IJXX, IRRMOVQ) else 1
-        e_dste = E["dste"]
+        e_dste = E["dste"] & _NIB
         if eicode == IRRMOVQ and not e_cnd:
             e_dste = RNONE
         mispredict = (eicode == IJXX and E["stat"] == SAOK
                       and not e_cnd)
 
         # ---- decode stage
-        dicode = D["icode"]
+        dicode = D["icode"] & _NIB
+        d_ra, d_rb = D["ra"] & _NIB, D["rb"] & _NIB
         d_srca = d_srcb = d_dste = d_dstm = RNONE
         if dicode in (IRRMOVQ, IRMMOVQ, IOPQ, IPUSHQ):
-            d_srca = D["ra"]
+            d_srca = d_ra
         elif dicode in (IPOPQ, IRET):
             d_srca = RSP
         if dicode in (IOPQ, IRMMOVQ, IMRMOVQ):
-            d_srcb = D["rb"]
+            d_srcb = d_rb
         elif dicode in (IPUSHQ, IPOPQ, ICALL, IRET):
             d_srcb = RSP
         if dicode in (IRRMOVQ, IIRMOVQ, IOPQ):
-            d_dste = D["rb"]
+            d_dste = d_rb
         elif dicode in (IPUSHQ, IPOPQ, ICALL, IRET):
             d_dste = RSP
         if dicode in (IMRMOVQ, IPOPQ):
-            d_dstm = D["ra"]
+            d_dstm = d_ra
 
         def forward(src: int, fallback: int) -> int:
             if src == RNONE:
                 return fallback
             if src == e_dste:
                 return e_vale
-            if src == M["dstm"]:
+            if src == m_dstm:
                 return m_valm
-            if src == M["dste"]:
+            if src == m_dste:
                 return M["vale"]
-            if src == W["dstm"]:
+            if src == w_dstm:
                 return W["valm"]
-            if src == W["dste"]:
+            if src == w_dste:
                 return W["vale"]
             return fallback
 
@@ -274,13 +291,14 @@ class Y86PipelineCpu(Module):
         d_valb = forward(d_srcb, self._rget(d_srcb))
 
         # ---- pipeline control
+        e_dstm = E["dstm"] & _NIB
         load_use = (eicode in (IMRMOVQ, IPOPQ)
-                    and E["dstm"] in (d_srca, d_srcb)
-                    and E["dstm"] != RNONE)
-        ret_in_flight = IRET in (dicode, eicode, M["icode"]) and (
+                    and e_dstm in (d_srca, d_srcb)
+                    and e_dstm != RNONE)
+        ret_in_flight = IRET in (dicode, eicode, micode) and (
             (dicode == IRET and D["stat"] == SAOK)
             or (eicode == IRET and E["stat"] == SAOK)
-            or (M["icode"] == IRET and M["stat"] == SAOK))
+            or (micode == IRET and M["stat"] == SAOK))
         f_stall = load_use or ret_in_flight
         d_stall = load_use
         d_bubble = mispredict or (ret_in_flight and not load_use)
@@ -293,9 +311,9 @@ class Y86PipelineCpu(Module):
             self.ret_bubbles += 1
 
         # ---- fetch stage
-        if M["icode"] == IJXX and M["stat"] == SAOK and not M["cnd"]:
+        if micode == IJXX and M["stat"] == SAOK and not M["cnd"]:
             f_pc = M["vala"]                       # mispredict correction
-        elif W["icode"] == IRET and W["stat"] == SAOK:
+        elif W["icode"] & _NIB == IRET and W["stat"] == SAOK:
             f_pc = W["valm"]
         else:
             f_pc = F["predpc"]

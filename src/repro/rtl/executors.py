@@ -134,6 +134,8 @@ class ScenarioRun:
     final_cycle: int
     trace: Optional[str] = None
     resumed_from: int = 0        # checkpoint cycle the run restored, if any
+    #: :func:`repro.codegen.simfsm.fsm_report` of the finished simulator
+    fsm: Optional[Dict[str, object]] = field(default=None, compare=False)
     sim: object = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
@@ -150,6 +152,8 @@ def scenario_run_of(sim, scenario: str, cycles: int,
                     seconds: float, trace: Optional[str] = None
                     ) -> ScenarioRun:
     """Snapshot a finished simulator into a picklable :class:`ScenarioRun`."""
+    from ..codegen.simfsm import fsm_report
+
     return ScenarioRun(
         scenario=scenario,
         cycles=cycles,
@@ -162,6 +166,7 @@ def scenario_run_of(sim, scenario: str, cycles: int,
         watched=len(sim.waveform.samples),
         final_cycle=sim.cycle,
         trace=trace,
+        fsm=fsm_report(sim),
         sim=sim,
     )
 

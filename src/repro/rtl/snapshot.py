@@ -167,14 +167,20 @@ def _restore_module(m, state):
 # snapshot capture / restore
 # ---------------------------------------------------------------------------
 def structure_sig(sim) -> str:
-    """SHA-256 over the module/wire identity of ``sim``: restore refuses
-    a snapshot whose structure does not match the target simulator."""
+    """SHA-256 over the module/wire identity of ``sim``, and the FSM
+    backend of each compiled process (the two backends keep different
+    state): restore refuses a snapshot whose structure does not match
+    the target simulator."""
     h = hashlib.sha256()
     for m in sim.modules:
         h.update(type(m).__name__.encode("utf-8"))
         h.update(b"\x00")
         h.update(m.name.encode("utf-8"))
         h.update(b"\x00")
+        backend = getattr(m, "backend", None)
+        if backend is not None:
+            h.update(backend.encode("utf-8"))
+            h.update(b"\x00")
         for w in m.wires():
             h.update(w.name.encode("utf-8"))
             h.update(b"\x01")

@@ -73,6 +73,29 @@ def test_campaign_byte_identical_across_engines_and_backends():
             assert got == reference, (engine, backend)
 
 
+def test_anvil_campaign_identical_across_engines_and_backends():
+    """A scenario without a CPU classifies on whole-simulator state
+    digests, which hold each backend's own FSM state: byte-identical
+    across engines, and across backends in every field but the
+    digests."""
+    by_backend = {}
+    for backend in BACKENDS:
+        reference = None
+        for engine in ENGINES:
+            cfg = SimConfig(engine=engine, backend=backend, cycles=200)
+            got = _normalized(run_campaign("anvil_streams", cfg,
+                                           n_faults=8))
+            if reference is None:
+                reference = got
+            assert got == reference, (engine, backend)
+        result = json.loads(reference)
+        result["golden"].pop("digest")
+        for record in result["outcomes"]:
+            record.pop("digest")
+        by_backend[backend] = result
+    assert by_backend["interp"] == by_backend["pycompiled"]
+
+
 def test_sharded_process_campaign_matches_serial():
     serial = _normalized(run_campaign(
         "y86_sum", SimConfig(executor="serial"), n_faults=10))
@@ -189,6 +212,33 @@ def test_injected_infinite_loop_is_hang():
     assert record["outcome"] == "hang"
     assert record["end_cycle"] == result["tail_budget"]
     assert result["histogram"]["hang"] == 1
+
+
+def test_wide_value_in_a_4bit_latch_field_does_not_crash():
+    # a 64-bit site width lets a fault set bit 40 of a register id: the
+    # model must read the field as the 4 bits the latch holds (bit 40
+    # gone, so the forwarding and the writeback are untouched)
+    cfg = SimConfig()
+    cycle = _probe_cycle(cfg, lambda cpu: (
+        cpu.D["icode"] == IOPQ and cpu.D["stat"] == SAOK))
+    _result, record = _campaign_with(Fault(
+        kind="transient_bitflip", module="y86_sum_cpu",
+        target="D[ra]", cycle=cycle, bit=40))
+    assert "error" not in record
+    assert record["outcome"] == "masked"
+
+
+@pytest.mark.parametrize("seed,inject_seed", [(2, 2), (13658, 465562)])
+def test_latch_field_fault_campaigns_replay_cleanly(seed, inject_seed):
+    # these campaigns used to die with "list index out of range" (a
+    # wide register id indexing the register file) and "tuple index
+    # out of range" (a wide ifun indexing the condition table)
+    cfg = SimConfig(seed=seed, cycles=5000, engine="kernel",
+                    backend="pycompiled", executor="serial")
+    result = Session(cfg).inject_campaign("y86_sum", faults=25,
+                                          inject_seed=inject_seed)
+    assert sum(result["histogram"].values()) == 25
+    assert not any("error" in r for r in result["outcomes"])
 
 
 def test_stuck_at_refires_across_its_window():

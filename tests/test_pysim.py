@@ -1,9 +1,11 @@
 """Backend equivalence: the generated-Python FSM backend must be
 observationally identical to the plan interpreter -- bit-identical
 waveforms and activity counts, identical debug logs and register files,
-identical diagnostics -- plus the plan extraction, expression lowering
-and compile-cache machinery underneath it."""
+identical diagnostics -- plus the plan extraction, expression lowering,
+fixed-state qualification and compile-cache machinery underneath it."""
 
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -11,17 +13,38 @@ import pytest
 from repro import Process, Side, SimConfig, System, build_simulation, get_registry
 from repro.codegen import pysim
 from repro.codegen import rexpr as rx
-from repro.codegen.simfsm import compile_process
-from repro.core.fsmplan import build_process_plan, port_reads, port_writes
-from repro.errors import ContractViolationError
+from repro.codegen.simfsm import AnvilProcessModule, compile_process, fsm_report
+from repro.core.events import EventKind
+from repro.core.fsmplan import (
+    EventPlan,
+    ThreadPlan,
+    build_process_plan,
+    port_reads,
+    port_writes,
+)
+from repro.errors import ContractViolationError, SimulationError
+from repro.inject.faults import Fault, enumerate_sites, run_with_fault
 from repro.lang.channels import ChannelDef, LifetimeSpec, MessageDef
-from repro.lang.terms import let, read, recv, send, set_reg, var
+from repro.lang.terms import (
+    cycle,
+    dprint,
+    if_,
+    let,
+    read,
+    recv,
+    send,
+    set_reg,
+    unit,
+    var,
+)
 from repro.lang.types import Logic
+from repro.rtl.snapshot import capture, restore
 
 BACKENDS = ("interp", "pycompiled")
 
-#: the compiled-only workloads, enumerated from the canonical registry
-ANVIL_SCENARIOS = get_registry().names("anvil", exclude="sweep")
+#: every scenario holding a compiled Anvil process: all of the registry
+#: but the two RTL-only families (checked by the equivalence test below)
+ANVIL_BEARING = [n for n in get_registry().names() if n not in ("aes", "mmu")]
 
 
 def _build(name, **config):
@@ -79,6 +102,9 @@ class _BareCtx:
     def temp(self):
         self._n += 1
         return f"_t{self._n}"
+
+    def slot(self, n):
+        return f"(_ov[{n}] if {n} in _ov else _sl.get({n}, 0))"
 
     def ready(self, endpoint, message):  # pragma: no cover - unused here
         raise AssertionError("no ports in this test")
@@ -174,16 +200,25 @@ def _state_of(sim):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("name", sorted(ANVIL_SCENARIOS))
+    @pytest.mark.parametrize("name", ANVIL_BEARING)
     @pytest.mark.parametrize("seed", [0, 11])
     def test_randomized_anvil_scenarios_bit_identical(self, name, seed):
-        cycles = 120 if name == "anvil_aes" else 300
+        """pycompiled on the levelized and kernel engines against the
+        interpreter on the brute-force reference engine."""
+        cycles = 120 if name in ("anvil_aes", "sweep", "anvil_sweep") \
+            else 300
         states = {}
-        for backend in BACKENDS:
-            sim = _build(name, seed=seed, stim=400, backend=backend)
+        for engine, backend in (("brute", "interp"),
+                                ("levelized", "pycompiled"),
+                                ("kernel", "pycompiled")):
+            sim = _build(name, seed=seed, stim=400, engine=engine,
+                         backend=backend)
+            assert (fsm_report(sim) is None) == (backend == "interp"), name
             sim.run(cycles)
-            states[backend] = _state_of(sim)
-        assert states["interp"] == states["pycompiled"]
+            states[(engine, backend)] = _state_of(sim)
+        reference = states[("brute", "interp")]
+        for key, state in states.items():
+            assert state == reference, key
 
     @pytest.mark.parametrize("name", ["streams", "pipeline"])
     def test_mixed_scenarios_bit_identical(self, name):
@@ -297,3 +332,237 @@ class TestCompileCache:
         batch.run(100)
         acts = batch.total_activity()
         assert acts["memory/interp"] == acts["memory/pycompiled"] > 0
+
+
+# ---------------------------------------------------------------------------
+# fixed-state threads
+# ---------------------------------------------------------------------------
+def _distinct_plans():
+    """One plan per distinct Anvil process over the whole registry."""
+    plans = {}
+    for name in get_registry().names():
+        sim = _build(name, stim=1, backend="pycompiled")
+        for m in sim.modules:
+            if isinstance(m, AnvilProcessModule):
+                plans.setdefault(m.plan.name, m.plan)
+    return plans
+
+
+def _skipper_process():
+    """A loop whose branch can reach the anchor while the response it
+    does not need is still outstanding."""
+    ch = ChannelDef("mem_ch", [
+        MessageDef("req", Side.RIGHT, Logic(8), LifetimeSpec.static(1)),
+        MessageDef("res", Side.LEFT, Logic(8), LifetimeSpec.static(1)),
+    ])
+    p = Process("skipper")
+    p.endpoint("mem", ch, Side.LEFT)
+    p.register("acc", Logic(8))
+    p.register("n", Logic(8))
+    p.loop(send("mem", "req", read("n")) >> let(
+        "d", recv("mem", "res"),
+        if_(read("n").bits(0, 0), cycle(1) >> set_reg("n", read("n") + 1),
+            set_reg("acc", var("d")) >> set_reg("n", read("n") + 1))))
+    return p
+
+
+class TestFixedState:
+    def test_loop_threads_fixed_recursive_threads_fall_back(self):
+        plans = _distinct_plans()
+        assert len(plans) == 15
+        paths = {(name, tp.index): (tp.kind, pysim.fixed_state_reason(tp))
+                 for name, plan in plans.items() for tp in plan.threads}
+        fixed = [k for k, (kind, reason) in paths.items() if reason is None]
+        fallback = {k: reason for k, (kind, reason) in paths.items()
+                    if reason is not None}
+        assert len(fixed) == 15
+        assert all(paths[k][0] == "loop" for k in fixed)
+        assert sorted(fallback) == [("anvil_alu", 0), ("anvil_systolic", 0)]
+        for reason in fallback.values():
+            assert reason.startswith("recursive thread")
+        # the plan proves that 12 of them retire every iteration at its
+        # respawn; the y86 cores' dmem response (e24) is awaited by one
+        # arm only, so their clock edge keeps the respawn check
+        pending = {k: pysim.FixedLayout(plans[k[0]].threads[k[1]]).pending
+                   for k in fixed}
+        assert {k: v for k, v in pending.items() if v} == {
+            (f"y86_{prog}_core", 0): 1 << 24
+            for prog in ("sum", "sort", "memcpy")}
+        assert pysim.FixedLayout(
+            compile_process(_skipper_process()).plan.threads[0]
+        ).pending == 1 << 2
+
+    @pytest.mark.parametrize("events,anchor,reason", [
+        # root -> e1 (anchor), root -> e2: e2 never reaches the anchor
+        ([(EventKind.ROOT, ()), (EventKind.DELAY, (0,)),
+          (EventKind.DELAY, (0,))], 1,
+         "anchor e1 is not the sink (e2 does not lead to it)"),
+        # a JOIN_ANY racing two delays: the loser may still be pending
+        ([(EventKind.ROOT, ()), (EventKind.DELAY, (0,)),
+          (EventKind.DELAY, (0,)), (EventKind.JOIN_ANY, (1, 2))], 3,
+         "JOIN_ANY e3 merges e1, e2 outside the distinct arms of one "
+         "branch"),
+        # if/else whose arms merge: qualifies
+        ([(EventKind.ROOT, ()), (EventKind.BRANCH, (0,), True),
+          (EventKind.BRANCH, (0,), False), (EventKind.DELAY, (1,)),
+          (EventKind.JOIN_ANY, (3, 2))], 4, None),
+    ])
+    def test_qualification_rule(self, events, anchor, reason):
+        plans = []
+        for eid, (kind, preds, *polarity) in enumerate(events):
+            branchy = kind in (EventKind.BRANCH, EventKind.JOIN_ANY)
+            plans.append(EventPlan(
+                eid, kind, preds, delay=1, cond_id=0 if branchy else -1,
+                polarity=polarity[0] if polarity else True))
+        tp = ThreadPlan(0, "loop", anchor, tuple(plans), {}, None)
+        assert pysim.fixed_state_reason(tp) == reason
+
+    def test_generated_module_holds_no_activations(self):
+        sim = _build("anvil_sweep", stim=200, engine="kernel",
+                     backend="pycompiled")
+        sim.run(200)
+        for m in sim.modules:
+            if not isinstance(m, AnvilProcessModule):
+                continue
+            for ti, reason in m.fsm_paths.items():
+                if reason is None:
+                    assert m._threads_rt[ti] == []
+                    assert all(type(v) is int for v in m._fsm[ti])
+                    # pass records are scratch of one cycle
+                    assert m._fsx[ti] is None
+                else:
+                    assert m._fsm[ti] is None and m._threads_rt[ti]
+
+    @pytest.mark.parametrize("name", ["anvil_sweep", "y86_sum"])
+    def test_record_encodes_the_interpreters_activation(self, name):
+        """At every cycle boundary a fixed-state record is exactly the
+        interpreter's one live activation, projected onto the fire
+        cycles DELAY events read and the latched slots: no value from
+        an earlier iteration or pass lingers in the module state."""
+        sims = {backend: _build(name, seed=5, stim=300, engine="kernel",
+                                backend=backend) for backend in BACKENDS}
+        pairs = [(a, b) for a, b in zip(sims["interp"].modules,
+                                        sims["pycompiled"].modules)
+                 if isinstance(a, AnvilProcessModule)]
+        for _ in range(150):
+            for sim in sims.values():
+                sim.run(1)
+            for ref, m in pairs:
+                for ti, lay in enumerate(m._pysim.layouts):
+                    if lay is None:
+                        continue
+                    (act,) = ref._threads_rt[ti]
+                    fired = sum(1 << e for e in act.fired)
+                    projected = (
+                        (fired, sum(1 << e for e in act.dead), act.start)
+                        + tuple(act.fired.get(e, 0) for e in lay.cycles)
+                        + tuple(act.slots.get(n, 0) for n in lay.slots))
+                    assert m._fsm[ti] == projected, (m.name, ti, sim.cycle)
+                    assert m._fsx[ti] is None
+
+    def test_fsm_diagnostics(self):
+        from repro import Session
+
+        result = Session(SimConfig(backend="pycompiled", cycles=20,
+                                   stim=50)).run("anvil_pipeline")
+        fsm = result.diagnostics["fsm"]
+        assert fsm["fixed_state"] == 0 and fsm["fallback"] == 2
+        assert set(fsm["reasons"]) == {"anvil_alu.t0", "anvil_systolic.t0"}
+        result = Session(SimConfig(backend="pycompiled", cycles=20,
+                                   stim=50)).run("y86_sum")
+        assert result.diagnostics["fsm"] == {
+            "fixed_state": 1, "fallback": 0, "reasons": {}}
+        assert "fsm" not in Session(SimConfig(cycles=5)).run(
+            "aes").diagnostics
+        # interp runs no generated code, so there is nothing to report
+        assert "fsm" not in Session(SimConfig(cycles=5)).run(
+            "anvil_pipeline").diagnostics
+
+    @pytest.mark.parametrize("name", ["anvil_sweep", "anvil_pipeline",
+                                      "y86_sum"])
+    def test_snapshot_restores_into_fresh_build(self, name):
+        cycles, split = 160, 70
+        cfg = dict(seed=3, stim=400, engine="kernel", backend="pycompiled")
+        reference = _build(name, **cfg)
+        reference.run(cycles)
+        prefix = _build(name, **cfg)
+        prefix.run(split)
+        blob = pickle.dumps(capture(prefix))
+        resumed = _build(name, **cfg)
+        restore(resumed, pickle.loads(blob))
+        resumed.run(cycles - split)
+        assert _state_of(resumed) == _state_of(reference)
+
+    def test_zero_delay_loop_error_identical(self):
+        messages = {}
+        for body in (unit, lambda: dprint("spin"),
+                     lambda: if_(read("r"), cycle(1))):
+            for backend in BACKENDS:
+                p = Process("spin")
+                p.register("r", Logic(8))
+                p.loop(body())
+                sys_ = System()
+                sys_.add(p)
+                ss = build_simulation(sys_, backend=backend)
+                with pytest.raises(SimulationError) as exc:
+                    ss.sim.run(2)
+                messages.setdefault(body, set()).add(str(exc.value))
+        for texts in messages.values():
+            assert len(texts) == 1
+            assert "zero-delay loop detected" in texts.pop()
+
+    def test_iteration_outliving_its_respawn_moves_to_the_glue(self):
+        """The anchor fires while a response is still outstanding: the
+        interpreter keeps that iteration beside the new one, and so must
+        the generated backend."""
+        runs = {}
+        for backend in BACKENDS:
+            sys_ = System()
+            inst = sys_.add(_skipper_process())
+            ch = sys_.expose(inst, "mem")
+            ss = build_simulation(sys_, backend=backend)
+            ext = ss.external(ch)
+            ext.always_receive("req")
+            for c in range(40):
+                if c in (15, 33):
+                    ext.send("res", c)
+                ss.sim.run(1)
+            m = ss.module("skipper")
+            runs[backend] = (_state_of(ss.sim), ext.sent, ext.received)
+            paths = m.fsm_paths
+        assert runs["interp"] == runs["pycompiled"]
+        assert paths[0].startswith("demoted at cycle")
+        assert "while e2 was unresolved" in paths[0]
+
+    def test_cycle_fault_between_settle_and_edge_matches_interp(self):
+        """A fault on a module's cycle counter makes its clock edge run
+        at another cycle than its settle pass; the fixed-state thread
+        hands over to the glue exactly as the interpreter behaves."""
+        states = {}
+        for backend in BACKENDS:
+            sim = _build("anvil_memory", seed=2, stim=300, engine="kernel",
+                         backend=backend)
+            fault = Fault(kind="stuck_at_1", module="anvil_cached_memory",
+                          target="cycle", cycle=40, bit=1, width=2,
+                          duration=3)
+            run_with_fault(sim, fault, 150)
+            states[backend] = _state_of(sim)
+            module = next(m for m in sim.modules
+                          if m.name == "anvil_cached_memory")
+        assert states["interp"] == states["pycompiled"]
+        # stuck-at-1 on bits 1-2 turns cycle 40 into 46 at the edge
+        assert module.fsm_paths[0].startswith("demoted at cycle 46")
+        assert module.fsm_paths[0].endswith("settle pass (40)")
+
+    def test_fault_sites_unchanged(self):
+        """The fixed-state bookkeeping is private: fault injection sees
+        the same 156 sites on y86_sum under either backend."""
+        digests = set()
+        for backend in BACKENDS:
+            sim = _build("y86_sum", engine="kernel", backend=backend)
+            sites = enumerate_sites(sim)
+            blob = "\n".join(f"{s.module}|{s.target}|{s.width}|{s.family}"
+                             for s in sites)
+            digests.add((len(sites), hashlib.sha256(
+                blob.encode()).hexdigest()[:16]))
+        assert digests == {(156, "eb7a1bea91790bee")}

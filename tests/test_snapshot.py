@@ -355,6 +355,19 @@ class TestSnapshotErrors:
         with pytest.raises(SimulationError, match="structure"):
             other.restore(donor.snapshot())
 
+    @pytest.mark.parametrize("source,target", [("interp", "pycompiled"),
+                                               ("pycompiled", "interp")])
+    def test_restore_rejects_another_backend(self, source, target):
+        """The two FSM backends keep different module state, so a
+        snapshot of one must not restore under the other."""
+        donor = _build("anvil_streams", backend=source, cycles=50,
+                       stim=200)
+        donor.run(10)
+        other = _build("anvil_streams", backend=target, cycles=50,
+                       stim=200)
+        with pytest.raises(SimulationError, match="backend"):
+            other.restore(donor.snapshot())
+
     def test_capture_rejects_detached_simulators(self):
         sim = _build("streams", cycles=50, stim=200)
         sim.adopt_remote(50, {}, {})
