@@ -299,6 +299,10 @@ def cmd_run(args) -> int:
     if fsm is not None:
         print(f"  compiled threads: {fsm['fixed_state']} fixed-state, "
               f"{fsm['fallback']} on the activation glue")
+    build = result.diagnostics.get("build")
+    if build is not None:
+        print(f"  build: {build['processes']} processes, "
+              f"{build['reused']} reused")
     if "resumed_from" in result.diagnostics:
         print(f"  resumed from cycle {result.diagnostics['resumed_from']} "
               f"({result.diagnostics['simulated_cycles']} simulated)")

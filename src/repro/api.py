@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .codegen.simfsm import BACKENDS, fsm_report
+from .codegen.simfsm import BACKENDS, build_report, fsm_report
 from .rtl.batch import MAX_BATCH, BatchSimulator, _env_batch, run_batch
 from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
 from .rtl.simulator import ENGINES, Simulator, run_guarded
@@ -581,6 +581,9 @@ def _result_of(name: str, config: SimConfig, sim: Simulator,
     fsm = fsm_report(sim)
     if fsm is not None:
         diagnostics["fsm"] = fsm
+    build = build_report(sim)
+    if build is not None:
+        diagnostics["build"] = build
     diagnostics.update(extra_diagnostics or {})
     return RunResult(
         scenario=name,
@@ -618,6 +621,8 @@ def _result_from_scenario_run(config: SimConfig, run: ScenarioRun,
     }
     if run.fsm is not None:
         diagnostics["fsm"] = run.fsm
+    if run.build is not None:
+        diagnostics["build"] = run.build
     if run.resumed_from:
         diagnostics["resumed_from"] = run.resumed_from
         diagnostics["simulated_cycles"] = run.cycles - run.resumed_from
@@ -853,6 +858,7 @@ class Session:
                         for f in group)),
                     ("inject_seed", seed),
                     ("tail_budget", budget),
+                    ("golden", tuple(sorted(golden.items()))),
                 )))
             offsets.append(i)
         runs = run_batch(specs, **pool_args(cfg))

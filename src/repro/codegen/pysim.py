@@ -65,18 +65,20 @@ over randomized workloads of every Anvil-bearing scenario.
 Caching
 -------
 
-Generated source is a pure function of the plan, so the compile cache is
-keyed by the SHA-256 of the source itself (which also fingerprints the
-optimization flags -- a plan built with ``do_optimize=False`` generates
-different source).  Rebuilding a process from the same factory therefore
-hits the cache even though the :class:`~repro.lang.process.Process`
-object is new.  :func:`cache_stats` exposes hit/miss counters for the
-benchmark; :func:`clear_cache` resets the cache (tests).
+Compilation is cached one level up, per process: a process's
+:class:`~repro.codegen.simfsm.CompiledProcess` is keyed by its
+structural digest (:meth:`~repro.lang.process.Process.digest`) and the
+``do_optimize`` flag, so rebuilding a design -- a new
+:class:`~repro.lang.process.Process` object from the same factory --
+skips graph building, optimization, planning and source generation
+alike.  :func:`backend_for` compiles the generated source once per
+cached process, on its first ``pycompiled`` use.  :func:`cache_stats`
+exposes that cache's hit/miss counters for the benchmark;
+:func:`clear_cache` empties it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -94,6 +96,7 @@ from ..core.fsmplan import (
     ThreadPlan,
 )
 from ..errors import SimulationError
+from .simfsm import CompiledProcess, cache_stats, clear_cache  # noqa: F401
 
 
 class _Emitter:
@@ -971,61 +974,26 @@ class PyBackend:
         self.paths, self.layouts = threads
 
 
-_CACHE: Dict[str, PyBackend] = {}
 _LOCK = threading.Lock()
-_STATS = {"hits": 0, "misses": 0}
 
 
-def backend_for(plan: ProcessPlan) -> PyBackend:
-    """Return the compiled backend for ``plan``, compiling at most once
-    per distinct generated source (thread-safe; harness sweeps build
-    simulators from worker threads).
-
-    Two cache levels: a per-plan memo (repeat instantiation of one
-    compiled process -- e.g. N instances in a System -- skips even the
-    source regeneration and does not touch the hit/miss counters) and
-    the source-hash cache underneath it (distinct plans of identical
-    designs share one compilation)."""
-    memo = plan._backend
-    if memo is not None:
-        return memo
+def backend_for(compiled: CompiledProcess) -> PyBackend:
+    """Return the generated backend of ``compiled``, compiling its plan
+    on first use and keeping the result on ``compiled``, so every
+    build that shares the cached process shares one compilation
+    (thread-safe; harness sweeps build simulators from worker
+    threads)."""
+    backend = compiled.pysim
+    if backend is not None:
+        return backend
+    plan = compiled.plan
     threads = thread_paths(plan)
     source = generate_source(plan, threads)
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    with _LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _STATS["hits"] += 1
-            plan._backend = hit
-            return hit
     code = compile(source, f"<pysim:{plan.name}>", "exec")
     ns: Dict[str, object] = {"_SE": SimulationError}
     exec(code, ns)
-    backend = PyBackend(source, ns, threads)
     with _LOCK:
-        winner = _CACHE.setdefault(key, backend)
-        # a concurrent caller may have compiled the same source first;
-        # only the insertion counts as a miss, so hits + misses always
-        # equals calls and misses equals cache entries
-        if winner is backend:
-            _STATS["misses"] += 1
-        else:
-            _STATS["hits"] += 1
-    plan._backend = winner
-    return winner
-
-
-def cache_stats() -> Dict[str, int]:
-    """Compile-cache counters (the benchmark's cache-stats hook)."""
-    with _LOCK:
-        return {"hits": _STATS["hits"], "misses": _STATS["misses"],
-                "entries": len(_CACHE)}
-
-
-def clear_cache():
-    """Reset the source-hash cache and counters (per-plan memos on
-    already-built ProcessPlan objects are unaffected)."""
-    with _LOCK:
-        _CACHE.clear()
-        _STATS["hits"] = 0
-        _STATS["misses"] = 0
+        # a concurrent caller may have compiled it first; keep one
+        if compiled.pysim is None:
+            compiled.pysim = PyBackend(source, ns, threads)
+        return compiled.pysim

@@ -8,7 +8,9 @@ split into three layers:
 1. :func:`compile_process` lowers a process through
    :func:`repro.core.fsmplan.build_process_plan` into a backend-neutral
    **FSM plan** (per-thread firing order, latch/commit specs, the exact
-   handshake sensitivity sets);
+   handshake sensitivity sets), once per distinct process: the result
+   is cached under the process's structural digest
+   (:meth:`repro.lang.process.Process.digest`);
 2. :class:`AnvilProcessModule` owns the run-time state -- the register
    file, handshake ports, per-thread activations -- and the **reference
    interpreter** (``backend="interp"``): a list of :class:`Activation`
@@ -44,6 +46,7 @@ which is why the generated hardware carries no lifetime bookkeeping.
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 from types import MethodType
 from typing import Dict, List, Optional, Tuple
@@ -88,7 +91,14 @@ class CompiledThread:
 
 class CompiledProcess:
     """A type-check-free compilation artifact: the FSM plan, ready to
-    execute, plus the per-thread graph view other backends consume."""
+    execute, plus the per-thread graph view other backends consume.
+
+    :func:`compile_process` hands one instance to every build of a
+    structurally identical process, so nothing may change it, its plan
+    or its graphs once built.  ``process`` is the first of those
+    processes, not necessarily the caller's.  The one late write is the
+    generated-Python backend, compiled on first ``pycompiled`` use by
+    :func:`repro.codegen.pysim.backend_for`."""
 
     def __init__(self, process: Process, plan: ProcessPlan):
         self.process = process
@@ -98,12 +108,70 @@ class CompiledProcess:
             CompiledThread(tp.graph, 0, tp.anchor, tp.kind, tp.cond_exprs)
             for tp in plan.threads
         ]
+        self.pysim = None
+
+
+#: the compile cache: ``(Process.digest(), do_optimize)`` -> the compiled
+#: process, shared by every build in this interpreter
+_CACHE: Dict[Tuple[str, bool], CompiledProcess] = {}
+#: one lock per process being compiled, so racing builds compile it once
+_BUILDING: Dict[Tuple[str, bool], threading.Lock] = {}
+_LOCK = threading.Lock()
+_STATS = {"hits": 0, "misses": 0}
 
 
 def compile_process(process: Process, do_optimize: bool = True
                     ) -> CompiledProcess:
-    """Compile each thread to a single-iteration event graph + plan."""
-    return CompiledProcess(process, build_process_plan(process, do_optimize))
+    """Compile each thread to a single-iteration event graph + plan, at
+    most once per distinct process (see :class:`CompiledProcess`)."""
+    return _compile(process, do_optimize)[0]
+
+
+def _compile(process: Process, do_optimize: bool
+             ) -> Tuple[CompiledProcess, bool]:
+    """:func:`compile_process`, plus whether the cache already held it.
+
+    Thread-safe: a build that races another build of the same new
+    process waits for it and takes its result, so each process is
+    compiled once, hits + misses equals calls and misses equals
+    entries."""
+    key = (process.digest(), do_optimize)
+    with _LOCK:
+        hit = _CACHE.get(key)
+        if hit is None:
+            building = _BUILDING.setdefault(key, threading.Lock())
+    if hit is None:
+        with building:
+            with _LOCK:
+                hit = _CACHE.get(key)
+            if hit is None:
+                compiled = CompiledProcess(
+                    process, build_process_plan(process, do_optimize))
+                with _LOCK:
+                    _CACHE[key] = compiled
+                    _BUILDING.pop(key, None)
+                    _STATS["misses"] += 1
+                return compiled, False
+    with _LOCK:
+        _STATS["hits"] += 1
+    return hit, True
+
+
+def cache_stats() -> Dict[str, int]:
+    """Compile-cache counters: lookups served from the cache (hits),
+    processes compiled (misses) and cached processes (entries)."""
+    with _LOCK:
+        return {"hits": _STATS["hits"], "misses": _STATS["misses"],
+                "entries": len(_CACHE)}
+
+
+def clear_cache():
+    """Empty the compile cache and zero its counters: the next build of
+    every process compiles it from scratch."""
+    with _LOCK:
+        _CACHE.clear()
+        _STATS["hits"] = 0
+        _STATS["misses"] = 0
 
 
 class MessagePort:
@@ -223,7 +291,7 @@ class AnvilProcessModule(Module):
         if backend == "pycompiled":
             from .pysim import backend_for
 
-            be = self._pysim = backend_for(self.plan)
+            be = self._pysim = backend_for(compiled)
             for ti, (f, c) in enumerate(zip(be.fire, be.commit)):
                 if f is not None:
                     self._fire[ti] = partial(f, self)
@@ -829,6 +897,17 @@ def fsm_report(sim) -> Optional[Dict[str, object]]:
             "reasons": reasons}
 
 
+def build_report(sim) -> Optional[Dict[str, int]]:
+    """How the compiled processes of ``sim`` were obtained: the number
+    of distinct processes its build compiled and how many of them the
+    compile cache already held.  None when ``sim`` holds no compiled
+    process."""
+    if not sim.compile_reuse:
+        return None
+    return {"processes": len(sim.compile_reuse),
+            "reused": sum(sim.compile_reuse.values())}
+
+
 def build_simulation(system: System, sim=None, do_optimize: bool = True,
                      backend: str = "interp",
                      engine: str = "levelized") -> SimulatedSystem:
@@ -847,9 +926,10 @@ def build_simulation(system: System, sim=None, do_optimize: bool = True,
     modules: Dict[str, AnvilProcessModule] = {}
     for inst in system.instances.values():
         if inst.process.name not in compiled:
-            compiled[inst.process.name] = compile_process(
+            compiled[inst.process.name], reused = _compile(
                 inst.process, do_optimize
             )
+            sim.compile_reuse.setdefault(inst.process.name, reused)
         modules[inst.name] = AnvilProcessModule(
             compiled[inst.process.name], inst.name, backend=backend
         )

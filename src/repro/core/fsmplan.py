@@ -187,8 +187,7 @@ class ProcessPlan:
     """Everything an execution backend needs, and nothing it must re-derive."""
 
     __slots__ = ("process", "name", "optimized", "threads", "ports",
-                 "port_index", "optimize_stats", "_scanned_exprs",
-                 "_backend")
+                 "port_index", "optimize_stats", "_scanned_exprs")
 
     def __init__(self, process, optimized: bool):
         self.process = process
@@ -202,10 +201,6 @@ class ProcessPlan:
         # subexpression DAGs (e.g. AES xtime chains) must be walked as
         # DAGs, not trees, or extraction goes exponential
         self._scanned_exprs: set = set()
-        # per-plan memo of the generated-Python backend (set by
-        # repro.codegen.pysim.backend_for), so repeat instantiation of
-        # one compiled process skips even the source regeneration
-        self._backend = None
 
     # -- port registry ----------------------------------------------------
     def _port(self, endpoint: str, message: str) -> PortPlan:
@@ -322,8 +317,9 @@ def build_thread_plan(plan: ProcessPlan, thread, index: int,
 def build_process_plan(process, do_optimize: bool = True) -> ProcessPlan:
     """Lower every thread of ``process`` to an executable plan.
 
-    This is the single entry point both simulation backends compile
-    through; :func:`repro.codegen.simfsm.compile_process` wraps it."""
+    Uncached: both simulation backends compile through
+    :func:`repro.codegen.simfsm.compile_process`, which calls this once
+    per distinct process and shares the plan."""
     plan = ProcessPlan(process, do_optimize)
     for i, thread in enumerate(process.threads):
         plan.threads.append(build_thread_plan(plan, thread, i, do_optimize))

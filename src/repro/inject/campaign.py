@@ -205,6 +205,7 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
                  inject_seed: Optional[int] = None,
                  tail_budget: Optional[int] = None,
                  include_state: bool = True,
+                 golden: Optional[Dict[str, object]] = None,
                  **overrides) -> Dict[str, object]:
     """Run one fault-injection campaign serially and return the result
     dict (see :func:`assemble_result`).
@@ -214,7 +215,9 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
     site x the golden run's cycle span.  An explicit ``faults``
     sequence (:class:`~repro.inject.faults.Fault` objects or their
     ``to_dict`` forms) runs exactly those -- the sharded path and the
-    pinned classification tests use this."""
+    pinned classification tests use this.  With ``faults``, a ``golden``
+    record (:func:`plan_faults`' first result) skips the golden pass:
+    the sharded path computes it once in the submitting process."""
     from ..api import resolve_config
 
     cfg = resolve_config(config, **overrides)
@@ -226,10 +229,11 @@ def run_campaign(scenario: str, config=None, *, n_faults: int = 25,
             scenario, cfg, n_faults=n_faults, inject_seed=seed,
             include_state=include_state)
     else:
-        from ..api import get_registry
+        if golden is None:
+            from ..api import get_registry
 
-        sim = get_registry().build(scenario, cfg)
-        golden = _golden_pass(sim, _halt_module(sim), cfg)
+            sim = get_registry().build(scenario, cfg)
+            golden = _golden_pass(sim, _halt_module(sim), cfg)
         plan = [f if isinstance(f, Fault) else Fault.from_dict(dict(f))
                 for f in faults]
     if not plan:
@@ -286,12 +290,16 @@ def _inject_campaign_job(spec) -> Dict[str, object]:
 
     ``faults`` arrives as a tuple of ``Fault.to_dict`` forms (JobSpecs
     must stay picklable and comparable); an empty tuple means "sample
-    ``n_faults`` locally", which keeps single-shard submissions cheap."""
+    ``n_faults`` locally", which keeps single-shard submissions cheap.
+    ``golden``, when present, is the submitter's golden record as
+    sorted item tuples."""
     shard = [Fault.from_dict(dict(d)) for d in spec.param("faults", ())]
+    golden = spec.param("golden")
     return run_campaign(
         spec.scenario, spec.config,
         n_faults=spec.param("n_faults", 25),
         faults=shard or None,
         inject_seed=spec.param("inject_seed"),
         tail_budget=spec.param("tail_budget"),
+        golden=dict(golden) if golden else None,
     )

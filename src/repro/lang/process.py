@@ -8,12 +8,13 @@ the simulator executes and the compositional type check covers.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ElaborationError
 from .channels import ChannelDef, Side
 from .terms import Term
-from .types import DataType, Logic
+from .types import Bundle, DataType, Logic
 
 
 class Register:
@@ -122,6 +123,91 @@ class Process:
         return (
             f"proc {self.name}({', '.join(map(repr, self.endpoints.values()))})"
         )
+
+    def digest(self) -> str:
+        """SHA-256 of the process's structure: its name, endpoints with
+        their channel contracts, registers, threads and every field of
+        every term.  Two processes with one digest compile to the same
+        plan, so the digest keys the compile cache
+        (:func:`repro.codegen.simfsm.compile_process`).
+
+        The term DAG is walked once: each node becomes one record whose
+        term-valued fields name earlier records by index, so a shared
+        subterm is hashed once (a flat string form of a DAG with shared
+        subterms grows exponentially) and the sharing itself is part of
+        the digest."""
+        walk = _TermWalk()
+        head = (
+            self.name,
+            tuple((ep.name, ep.side.value, _channel_key(ep.channel))
+                  for ep in self.endpoints.values()),
+            tuple((r.name, _dtype_key(r.dtype), r.init)
+                  for r in self.registers.values()),
+            tuple((th.kind, th.name, walk.ref(th.body))
+                  for th in self.threads),
+        )
+        return hashlib.sha256(repr(
+            (head, walk.records, walk.tables)).encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# structural keys for Process.digest
+# ---------------------------------------------------------------------------
+class _TermWalk:
+    """Numbers the nodes of a term DAG in post-order, one plain-data
+    record per node: ``[class name, field, key, field, key, ...]`` over
+    every attribute of the node, with each subterm keyed ``("@", its record
+    number)``.  Table entries are interned so an S-box used by sixteen
+    lookups is spelled out once."""
+
+    def __init__(self):
+        self.index: Dict[int, int] = {}
+        self.records: List[tuple] = []
+        self.tables: Dict[tuple, int] = {}
+
+    def ref(self, node: Term) -> Tuple[str, int]:
+        number = self.index.get(id(node))
+        if number is None:
+            key = self._key
+            record = [type(node).__name__]
+            for name, value in vars(node).items():
+                record += (name, key(value))
+            number = self.index[id(node)] = len(self.records)
+            self.records.append(record)
+        return ("@", number)
+
+    def _key(self, value):
+        if isinstance(value, Term):
+            return self.ref(value)
+        if value is None or isinstance(value, (int, str)):
+            return value
+        if isinstance(value, tuple):                # a table's entries
+            return ("#", self.tables.setdefault(value, len(self.tables)))
+        if isinstance(value, DataType):
+            return _dtype_key(value)
+        if isinstance(value, dict):                 # a bundle's fields
+            return tuple((k, self.ref(v)) for k, v in value.items())
+        raise TypeError(
+            f"Process.digest cannot key a {type(value).__name__} term field")
+
+
+def _dtype_key(dtype: DataType) -> tuple:
+    if isinstance(dtype, Bundle):
+        return ("bundle",) + tuple(
+            (name, _dtype_key(t)) for name, t in dtype.fields)
+    return (type(dtype).__name__, dtype.width)
+
+
+def _channel_key(channel: ChannelDef) -> tuple:
+    return (channel.name,) + tuple(
+        (m.name, m.direction.value, _dtype_key(m.dtype),
+         m.lifetime.cycles, m.lifetime.message,
+         _sync_key(m.left_sync), _sync_key(m.right_sync))
+        for m in channel)
+
+
+def _sync_key(mode) -> tuple:
+    return (type(mode).__name__,) + tuple(sorted(vars(mode).items()))
 
 
 class ProcessInstance:

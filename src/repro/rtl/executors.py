@@ -136,6 +136,8 @@ class ScenarioRun:
     resumed_from: int = 0        # checkpoint cycle the run restored, if any
     #: :func:`repro.codegen.simfsm.fsm_report` of the finished simulator
     fsm: Optional[Dict[str, object]] = field(default=None, compare=False)
+    #: :func:`repro.codegen.simfsm.build_report` of the simulator
+    build: Optional[Dict[str, int]] = field(default=None, compare=False)
     sim: object = field(default=None, compare=False, repr=False)
 
     def __getstate__(self):
@@ -152,7 +154,7 @@ def scenario_run_of(sim, scenario: str, cycles: int,
                     seconds: float, trace: Optional[str] = None
                     ) -> ScenarioRun:
     """Snapshot a finished simulator into a picklable :class:`ScenarioRun`."""
-    from ..codegen.simfsm import fsm_report
+    from ..codegen.simfsm import build_report, fsm_report
 
     return ScenarioRun(
         scenario=scenario,
@@ -167,6 +169,7 @@ def scenario_run_of(sim, scenario: str, cycles: int,
         final_cycle=sim.cycle,
         trace=trace,
         fsm=fsm_report(sim),
+        build=build_report(sim),
         sim=sim,
     )
 

@@ -111,10 +111,9 @@ Generated source is a pure function of the topology *shape* -- group
 structure, per-block output scan indices, intra-group reader edges,
 catch-all indices, tick overrides and the watched-signal count (plus,
 for batched kernels, the slot count and the stop-condition shape) -- so
-the compile cache is keyed by the SHA-256 of the source itself,
-mirroring :mod:`repro.codegen.pysim`.  Two simulators of the same
-scenario (a harness sweep rebuilding row after row, a process-pool
-worker warm-up) compile once.  Entries carry their layout (``scalar``
+the compile cache is keyed by the SHA-256 of the source itself.  Two
+simulators of the same scenario (a harness sweep rebuilding row after
+row, a process-pool worker warm-up) compile once.  Entries carry their layout (``scalar``
 vs ``batch``) so the two kernel families for one topology coexist and
 never evict each other; :func:`cache_stats` exposes hit/miss counters
 overall and per layout; :func:`clear_cache` resets them (tests).

@@ -84,6 +84,10 @@ class Simulator:
         # re-plan until the topology or watch count changes
         self._kernel = None
         self._kernel_key = None
+        #: process name -> whether the compile cache already held it,
+        #: for every Anvil process elaborated onto this simulator
+        #: (:func:`repro.codegen.simfsm.build_simulation`)
+        self.compile_reuse: Dict[str, bool] = {}
 
     def add(self, module: Module) -> Module:
         self.modules.append(module)

@@ -390,11 +390,17 @@ class ReproServer:
     async def _watch_client(reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
         """Drain client frames so a close (or EOF) is noticed even
-        while the stream is mid-flight; answers pings."""
+        while the stream is mid-flight; answers pings.  A frame the
+        protocol refuses with a close code (an oversized one) closes
+        the connection with that code."""
         while True:
             try:
                 opcode, payload = await ws_read_frame(reader)
-            except ProtocolError:
+            except ProtocolError as exc:
+                if exc.close_code is not None:
+                    writer.write(ws_close(exc.close_code))
+                    await writer.drain()
+                    writer.close()
                 return
             if opcode == OP_CLOSE:
                 return

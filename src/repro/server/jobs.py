@@ -298,8 +298,8 @@ class JobQueue:
             cancelled = 0
             for job in self._jobs.values():
                 if job.state == "queued":
-                    job.state = "cancelled"
                     job.finished = time.time()
+                    job.state = "cancelled"
                     self._inflight.pop(job.submit_key, None)
                     cancelled += 1
             running = sum(1 for j in self._jobs.values()
@@ -494,8 +494,8 @@ class JobQueue:
             job = self._jobs.get(job_id)
             if job is None or job.state != "queued":
                 return job
-            job.state = "cancelled"
             job.finished = time.time()
+            job.state = "cancelled"
             self._queued -= 1
             if self._inflight.get(job.submit_key) is job:
                 del self._inflight[job.submit_key]
@@ -530,20 +530,24 @@ class JobQueue:
                 if job.state != "queued":
                     continue                 # cancelled while queued
                 self._queued -= 1
-                job.state = "running"
                 job.started = time.time()
+                job.state = "running"
+            state = "failed"
             try:
                 self._execute(job)
-                job.state = "done"
+                state = "done"
             except Exception as exc:     # report, never kill the worker
                 job.error = f"{type(exc).__name__}: {exc}"
                 # the full traceback rides along in the job record so a
                 # remote client can diagnose an unexpected worker crash
                 # without access to the server's logs
                 job.traceback = traceback_mod.format_exc()
-                job.state = "failed"
             finally:
+                # records are read without the lock: write the finish
+                # time before the final state, so a poller that sees
+                # the job finished also sees when
                 job.finished = time.time()
+                job.state = state
                 with self._lock:
                     if self._inflight.get(job.submit_key) is job:
                         del self._inflight[job.submit_key]

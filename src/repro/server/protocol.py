@@ -58,7 +58,14 @@ OP_PONG = 0xA
 
 
 class ProtocolError(ValueError):
-    """The peer sent something this minimal layer cannot parse."""
+    """The peer sent something this minimal layer cannot parse.
+
+    ``close_code`` is the RFC 6455 status a WebSocket peer is closed
+    with, when the error has one (1009: frame too big)."""
+
+    def __init__(self, message: str, close_code: Optional[int] = None):
+        super().__init__(message)
+        self.close_code = close_code
 
 
 @dataclass
@@ -222,8 +229,10 @@ def ws_close(code: int = 1000) -> bytes:
 async def ws_read_frame(reader: asyncio.StreamReader
                         ) -> Tuple[int, bytes]:
     """Read one frame; returns ``(opcode, payload)`` with masking
-    removed.  Raises :class:`ProtocolError` on EOF or a fragmented
-    message (not produced by either side of this service)."""
+    removed.  Raises :class:`ProtocolError` on EOF, a fragmented
+    message (not produced by either side of this service) or a frame
+    longer than :data:`MAX_BODY` -- refused from its header alone, with
+    close code 1009, before any of its payload is read."""
     try:
         b0, b1 = await reader.readexactly(2)
     except asyncio.IncompleteReadError:
@@ -237,6 +246,10 @@ async def ws_read_frame(reader: asyncio.StreamReader
         (length,) = struct.unpack(">H", await reader.readexactly(2))
     elif length == 127:
         (length,) = struct.unpack(">Q", await reader.readexactly(8))
+    if length > MAX_BODY:
+        raise ProtocolError(
+            f"refusing {length}-byte websocket frame (cap {MAX_BODY})",
+            close_code=1009)
     key = await reader.readexactly(4) if masked else None
     payload = await reader.readexactly(length) if length else b""
     if key:

@@ -104,6 +104,27 @@ def test_sharded_process_campaign_matches_serial():
     assert _normalized(sharded) == serial
 
 
+def test_shards_reuse_the_submitters_golden_record(monkeypatch):
+    from repro.inject import campaign
+
+    passes = []
+    real = campaign._golden_pass
+
+    def counted(sim, cpu, cfg):
+        passes.append(sim.name)
+        return real(sim, cpu, cfg)
+
+    monkeypatch.setattr(campaign, "_golden_pass", counted)
+    serial = _normalized(run_campaign(
+        "y86_sum", SimConfig(executor="serial"), n_faults=6))
+    assert len(passes) == 1
+    sharded = Session(SimConfig(executor="thread", jobs=2)) \
+        .inject_campaign("y86_sum", faults=6)
+    # the submitter's sampling pass only: neither shard repeats it
+    assert len(passes) == 2
+    assert _normalized(sharded) == serial
+
+
 def test_forked_injection_matches_cold_start():
     """A tail forked from a warm prefix snapshot must classify exactly
     as a cold run injecting the same fault at the same cycle."""

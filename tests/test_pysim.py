@@ -297,8 +297,8 @@ class TestCompileCache:
 
         for _ in range(3):
             # a fresh Process object each time -- the cache must key on
-            # the generated source, not object identity
-            pysim.backend_for(compile_process(spill_register()).plan)
+            # the process's structure, not object identity
+            pysim.backend_for(compile_process(spill_register()))
         stats = pysim.cache_stats()
         assert stats["misses"] == 1
         assert stats["hits"] == 2
@@ -308,8 +308,8 @@ class TestCompileCache:
         pysim.clear_cache()
         from repro.anvil_designs.streams import spill_register
 
-        pysim.backend_for(compile_process(spill_register(), True).plan)
-        pysim.backend_for(compile_process(spill_register(), False).plan)
+        pysim.backend_for(compile_process(spill_register(), True))
+        pysim.backend_for(compile_process(spill_register(), False))
         assert pysim.cache_stats()["entries"] == 2
 
     def test_generated_source_is_deterministic(self):

@@ -13,13 +13,17 @@ cache assertions pin.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -37,6 +41,13 @@ from repro.server import (
     ServerClient,
     ServerError,
     TraceHub,
+)
+from repro.server.protocol import (
+    MAX_BODY,
+    OP_CLOSE,
+    ProtocolError,
+    websocket_accept,
+    ws_read_frame,
 )
 
 # ---------------------------------------------------------------------------
@@ -373,6 +384,58 @@ def test_trace_hub_drop_accounting_is_exact():
     assert hub.stats()["retained"] == 4
 
 
+#: a masked client frame header announcing a 2**40-byte payload
+_HUGE_FRAME_HEADER = bytes([0x81, 0x80 | 127]) + struct.pack(">Q", 1 << 40)
+
+
+def test_oversized_websocket_frame_is_refused_from_its_header():
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(_HUGE_FRAME_HEADER)     # and nothing more
+        with pytest.raises(ProtocolError) as exc_info:
+            await asyncio.wait_for(ws_read_frame(reader), timeout=10)
+        return exc_info.value
+
+    tracemalloc.start()
+    try:
+        error = asyncio.run(read())
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert error.close_code == 1009
+    assert str(1 << 40) in str(error)
+    assert peak < MAX_BODY
+
+
+def test_oversized_websocket_frame_closes_the_stream_with_1009(client):
+    record = client.submit("server_slow", cycles=300, stream=True)
+    sock = socket.create_connection(("127.0.0.1", client.port), timeout=30)
+    rfile = sock.makefile("rb")
+    try:
+        key = base64.b64encode(os.urandom(16)).decode("latin-1")
+        sock.sendall((
+            f"GET /jobs/{record['id']}/trace HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            "Upgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n"
+            "\r\n").encode("latin-1"))
+        head = ServerClient._read_head(rfile).decode("latin-1")
+        assert " 101 " in head.split("\r\n", 1)[0] + " "
+        assert websocket_accept(key) in head
+        sock.sendall(_HUGE_FRAME_HEADER)
+        while True:                       # deltas may precede the close
+            opcode, payload = ServerClient._read_ws_frame(rfile)
+            if opcode == OP_CLOSE:
+                break
+        assert struct.unpack(">H", payload) == (1009,)
+        assert rfile.read() == b""        # and the server hung up
+    finally:
+        rfile.close()
+        sock.close()
+
+
 def test_stream_request_on_plain_job_is_409(client):
     record = client.submit("streams", cycles=64)
     client.wait(record["id"])
@@ -469,6 +532,42 @@ def test_job_queue_backpressure_without_server():
         summary = q.shutdown(drain=True)
     assert summary["cancelled"] == 1     # the queued job was cancelled
     assert a.state == "done"
+
+
+def test_job_records_never_show_a_state_before_its_time(monkeypatch):
+    """Records are read without the queue lock, so a job's time stamp
+    must be written before the state it belongs to.  Every clock read
+    of the queue snapshots every record at that instant."""
+    from repro.server import jobs as jobs_module
+
+    q = JobQueue(depth=4, workers=1)
+    snapshots: list = []
+
+    class _SnapshottingClock:
+        perf_counter = staticmethod(time.perf_counter)
+
+        @staticmethod
+        def time():
+            snapshots.extend(job.record() for job in q.jobs())
+            return time.time()
+
+    monkeypatch.setattr(jobs_module, "time", _SnapshottingClock)
+    q.start()
+    try:
+        job = q.submit({"scenario": "streams", "cycles": 20})
+        deadline = time.monotonic() + 60
+        while not job.finished_state:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        q.shutdown(drain=True)
+    assert job.state == "done"
+    assert len(snapshots) >= 2           # the start and finish reads
+    for record in snapshots:
+        if record["state"] != "queued":
+            assert record["started"] is not None, record
+        if record["state"] in ("done", "failed", "cancelled"):
+            assert record["finished"] is not None, record
 
 
 # ---------------------------------------------------------------------------
