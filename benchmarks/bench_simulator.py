@@ -28,20 +28,6 @@ scenarios across the engines -- control-heavy, data-dependent work
 whose speedups aren't comparable to the streaming designs the gated
 engine axis floors were committed against.
 
-**Batch axis** (``repro.rtl.batch.run_lockstep``): the columnar
-multi-instance cycle kernels on the twelve scenario families, M
-same-topology instances (16 full / 4 quick) advancing lock-step
-through one compiled ``_BATCH_KERNEL`` pass.  Two comparisons per
-family, both bit-checked against the scalar runs: ``parity`` --
-batched throughput vs M sequential scalar-kernel runs (the batched
-kernel must not tax plain sweeps; the slot-unrolled bodies make this
-~1x by construction) -- and ``campaign_speedup`` -- a stop-condition
-campaign (the fuzzer's shape: check a wire every cycle) run through
-the compiled in-kernel stop vs today's interpreted per-cycle
-stop-check loop.  The campaign column is where batching pays:
-per-cycle kernel re-entry and Python-level stop checks collapse into
-compiled code.  Gated by ``tools/check_bench.py``.
-
 **Executor axis** (``Session.sweep(executor=...)``): the declarative
 JobSpec sweep of all twelve scenario families (six mixed + six
 Anvil-only) under the ``serial``, ``thread`` and ``process`` executors
@@ -167,132 +153,6 @@ def _print_rows(rows, variants, label):
     return geo
 
 
-def _batch_fleet(session, name, m, warmup):
-    """M same-topology instances of one scenario (seeds ``0..m-1``),
-    warmed up and ready to measure."""
-    sims = [session.build(name, engine="kernel", backend="pycompiled",
-                          seed=s) for s in range(m)]
-    for sim in sims:
-        sim.run(warmup)
-    return sims
-
-
-def _precompile_batch(sims, m, stop=None):
-    """Compile the batched kernel for this fleet's (topology, width,
-    stop shape) before the timed region.  The scalar axes get the same
-    treatment implicitly -- ``sim.run(warmup)`` compiles the scalar
-    kernel before ``t0`` -- and the compile is a once-per-shape,
-    process-wide cached cost a steady-state sweep never pays again."""
-    from repro.rtl.batch import _stop_index
-    from repro.rtl.kernel import batch_kernel_for, topology_shape
-
-    _digest, plan = topology_shape(sims[0])
-    shape = None
-    if stop is not None:
-        shape = (stop.op, _stop_index(sims[0], stop.wires[0]))
-    batch_kernel_for(plan, m, shape)
-
-
-def _never_stop(sims):
-    """A stop condition that can never fire (wire values are
-    non-negative, ``-1`` never matches) but is checked after every
-    cycle -- the run-to-halt/fuzzer campaign shape at fixed work."""
-    from repro.rtl.batch import StopCondition
-
-    for sim in sims:
-        sim.scheduler._ensure_built()
-    return StopCondition("eq", [s.scheduler._wires[0] for s in sims],
-                         [-1] * len(sims))
-
-
-def bench_batch_axis(session, names, m, cycles, warmup, repeats, check):
-    """Columnar lock-step kernels vs per-instance scalar runs.
-
-    Two comparisons per family, M instances each (same topology,
-    seeds ``0..M-1``), both on the kernel/pycompiled configuration:
-
-    * ``parity``: plain fixed-cycle throughput, one ``run_lockstep``
-      pass vs M sequential scalar-kernel runs.  The slot-unrolled
-      batched body runs the same compiled statements in a different
-      interleave, so this holds ~1x by construction -- the gate only
-      guards against a regression tax on plain sweeps.
-    * ``campaign_speedup``: a stop-condition campaign -- check one
-      wire after every cycle, the run-to-halt shape -- through the
-      compiled in-kernel stop vs the interpreted per-cycle
-      ``run_stop_scalar`` loop.  The stop never fires, so both sides
-      do identical simulation work and the column isolates the
-      per-cycle kernel re-entry + Python stop-check overhead that
-      batching compiles away.
-
-    Both batched variants are bit-checked against the scalar sims
-    (activity counts + waveforms), like every other axis.
-    """
-    from repro.rtl.batch import (StopCondition, run_lockstep,
-                                 run_stop_scalar)
-
-    rows = []
-    for name in names:
-        cps = {"scalar": 0.0, "batched": 0.0,
-               "campaign_scalar": 0.0, "campaign_batched": 0.0}
-        equivalent = True
-        for _ in range(repeats):
-            ref = _batch_fleet(session, name, m, warmup)
-            t0 = time.perf_counter()
-            for sim in ref:
-                sim.run(cycles)
-            cps["scalar"] = max(
-                cps["scalar"], m * cycles / (time.perf_counter() - t0))
-
-            sims = _batch_fleet(session, name, m, warmup)
-            _precompile_batch(sims, m)
-            t0 = time.perf_counter()
-            run_lockstep(sims, cycles, width=m)
-            cps["batched"] = max(
-                cps["batched"], m * cycles / (time.perf_counter() - t0))
-            if check:
-                equivalent = equivalent and all(
-                    s.activity == r.activity
-                    and s.waveform.samples == r.waveform.samples
-                    for s, r in zip(sims, ref))
-
-            sims = _batch_fleet(session, name, m, warmup)
-            stop = _never_stop(sims)
-            t0 = time.perf_counter()
-            for k, sim in enumerate(sims):
-                run_stop_scalar(
-                    sim, cycles,
-                    StopCondition("eq", [stop.wires[k]], [-1]), 0)
-            cps["campaign_scalar"] = max(
-                cps["campaign_scalar"],
-                m * cycles / (time.perf_counter() - t0))
-
-            sims = _batch_fleet(session, name, m, warmup)
-            stop = _never_stop(sims)
-            _precompile_batch(sims, m, stop)
-            t0 = time.perf_counter()
-            res = run_lockstep(sims, cycles, stop=stop, width=m)
-            cps["campaign_batched"] = max(
-                cps["campaign_batched"],
-                m * cycles / (time.perf_counter() - t0))
-            if check:
-                equivalent = (equivalent and all(res.batched)
-                              and not any(res.stopped)
-                              and all(s.activity == r.activity
-                                      and (s.waveform.samples
-                                           == r.waveform.samples)
-                                      for s, r in zip(sims, ref)))
-
-        rows.append({
-            "name": name,
-            **cps,
-            "parity": cps["batched"] / cps["scalar"],
-            "campaign_speedup":
-                cps["campaign_batched"] / cps["campaign_scalar"],
-            "equivalent": equivalent,
-        })
-    return rows
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
@@ -414,30 +274,8 @@ def main(argv=None):
             + f"  k/lev {r['kernel_speedup']:5.2f}x"
             + f"  {'yes' if r['equivalent'] else 'NO'}")
 
-    # -- batch axis: M-instance columnar lock-step kernels ---------------
     sweep_names = (registry.names("rtl", exclude="sweep")
                    + registry.names("anvil", exclude="sweep"))
-    batch_m = 4 if args.quick else 16
-    batch_cycles = sweep_cycles
-    print(f"\n== batch axis: {batch_m}-instance lock-step kernels vs "
-          f"scalar (kernel/pycompiled) ==")
-    batch_rows = bench_batch_axis(session, sweep_names, batch_m,
-                                  batch_cycles, warmup, repeats, check)
-    print(f"{'design':18s} {'scalar c/s':>12} {'batched c/s':>12} "
-          f"{'parity':>7} {'camp-scal':>10} {'camp-bat':>10} "
-          f"{'campaign':>9}  equal")
-    for r in batch_rows:
-        print(f"{r['name']:18s} {r['scalar']:12.0f} {r['batched']:12.0f} "
-              f"{r['parity']:6.2f}x {r['campaign_scalar']:10.0f} "
-              f"{r['campaign_batched']:10.0f} "
-              f"{r['campaign_speedup']:8.2f}x"
-              f"  {'yes' if r['equivalent'] else 'NO'}")
-    parity_geo = statistics.geometric_mean(
-        r["parity"] for r in batch_rows)
-    campaign_geo = statistics.geometric_mean(
-        r["campaign_speedup"] for r in batch_rows)
-    print(f"\ngeomean batched-vs-scalar parity:    {parity_geo:.2f}x")
-    print(f"geomean stop-campaign speedup:       {campaign_geo:.2f}x")
 
     # -- executor axis: the 12-family sweep as declarative JobSpecs ------
     print("\n== executor axis: 12-family sweep, build+run per job "
@@ -482,15 +320,11 @@ def main(argv=None):
           f"{stats['misses']} misses, {stats['entries']} entries")
     kstats = kernel.cache_stats()
     print(f"cycle-kernel compile cache: {kstats['hits']} hits, "
-          f"{kstats['misses']} misses, {kstats['entries']} entries "
-          + " ".join(f"[{layout}: {c['hits']}h/{c['misses']}m/"
-                     f"{c['entries']}e]"
-                     for layout, c in kstats["layouts"].items()))
+          f"{kstats['misses']} misses, {kstats['entries']} entries")
 
     ok = (all(r["equivalent"] for r in engine_rows)
           and all(r["equivalent"] for r in backend_rows)
           and all(r["equivalent"] for r in cpu_rows)
-          and all(r["equivalent"] for r in batch_rows)
           and all(r["equivalent"] is not False
                   for r in executor_rows.values()))
 
@@ -514,14 +348,6 @@ def main(argv=None):
             "backend_axis": backend_rows,
             # recorded for trajectory tracking, not gated (see above)
             "cpu_axis": cpu_rows,
-            "batch_axis": {
-                "m": batch_m,
-                "cycles": batch_cycles,
-                "backend": "pycompiled",
-                "engine": "kernel",
-                "scenarios": sweep_names,
-                "rows": batch_rows,
-            },
             "executor_axis": {
                 "cpu_count": cpu_count,
                 "jobs": args.jobs,

@@ -1,7 +1,7 @@
 """``python -m repro`` -- the command-line front end over :mod:`repro.api`.
 
 One option layer (``--engine/--backend/--parallel/--seed/--cycles/
---stim/--batch/--trace/--json``) shared by every subcommand, resolved
+--stim/--trace/--json``) shared by every subcommand, resolved
 into a single :class:`~repro.api.SimConfig` and handed to a
 :class:`~repro.api.Session`:
 
@@ -45,25 +45,22 @@ from .rtl.simulator import ENGINES
 #: only part of the config expose only that part, so the echoed
 #: ``--json`` config never claims knobs the run ignored
 ALL_FIELDS = ("engine", "backend", "parallel", "executor", "jobs", "seed",
-              "cycles", "stim", "batch", "trace", "checkpoint_every",
+              "cycles", "stim", "trace", "checkpoint_every",
               "max_wall_time")
 #: a single scenario run has no sweep to execute, so it neither takes
-#: nor echoes the executor knobs (nor the lock-step batch width)
+#: nor echoes the executor knobs
 RUN_FIELDS = tuple(f for f in ALL_FIELDS
-                   if f not in ("executor", "jobs", "parallel", "batch"))
-#: bench measures each (scenario, config) serially, never batches,
-#: never checkpoints and runs no watchdog -- lock-step timing would
-#: blend the instances it is trying to compare, a restored prefix (or a
-#: cancelled repeat) would corrupt the cycles/second it is trying to
-#: measure
+                   if f not in ("executor", "jobs", "parallel"))
+#: bench measures each (scenario, config) serially, never checkpoints
+#: and runs no watchdog -- a restored prefix (or a cancelled repeat)
+#: would corrupt the cycles/second it is trying to measure
 BENCH_FIELDS = tuple(f for f in ALL_FIELDS
-                     if f not in ("batch", "checkpoint_every",
-                                  "max_wall_time"))
+                     if f not in ("checkpoint_every", "max_wall_time"))
 #: a fault campaign forks tails on the configured executor but never
-#: renders waveforms, batches or feeds the checkpoint store (it keeps a
+#: renders waveforms or feeds the checkpoint store (it keeps a
 #: campaign-local one)
 INJECT_FIELDS = tuple(f for f in ALL_FIELDS
-                      if f not in ("batch", "trace", "checkpoint_every"))
+                      if f not in ("trace", "checkpoint_every"))
 #: what the harness drivers actually thread through (appendix-a keeps
 #: its own serial-by-design parallel knob, so it exposes only the
 #: engine/backend pair its simulated side consumes)
@@ -108,13 +105,6 @@ def _add_config_options(parser: argparse.ArgumentParser,
     if "stim" in fields:
         g.add_argument("--stim", type=int, default=None,
                        help="stimulus depth override")
-    if "batch" in fields:
-        g.add_argument("--batch", type=int, default=None, metavar="M",
-                       help="lock-step batch width for seed campaigns "
-                            "(sweep --seeds): up to M same-topology "
-                            "instances advance through one compiled "
-                            "kernel pass; $REPRO_BATCH overrides the "
-                            "default of 1")
     if "trace" in fields:
         g.add_argument("--trace", action="store_true", default=False,
                        help="render the ASCII waveform of each run")
@@ -143,7 +133,7 @@ def _add_config_options(parser: argparse.ArgumentParser,
 def _config_from(args: argparse.Namespace) -> SimConfig:
     overrides: Dict[str, object] = {}
     for field in ("engine", "backend", "executor", "jobs", "seed",
-                  "cycles", "stim", "batch", "checkpoint_every",
+                  "cycles", "stim", "checkpoint_every",
                   "max_wall_time"):
         value = getattr(args, field, None)
         if value is not None:
@@ -535,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", default=None)
     p.add_argument("--seeds", type=int, default=0, metavar="N",
                    help="run each scenario under N consecutive seeds "
-                        "(starting at --seed); combine with --batch M "
-                        "to advance same-topology instances lock-step")
+                        "(starting at --seed)")
     _add_config_options(p)
     p.set_defaults(fn=cmd_sweep)
 

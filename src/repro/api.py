@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .codegen.simfsm import BACKENDS, build_report, fsm_report
-from .rtl.batch import MAX_BATCH, BatchSimulator, _env_batch, run_batch
+from .rtl.batch import BatchSimulator, run_batch
 from .rtl.executors import EXECUTORS, JobSpec, ScenarioRun
 from .rtl.simulator import ENGINES, Simulator, run_guarded
 from .rtl.snapshot import (
@@ -135,13 +135,9 @@ class SimConfig:
     ``stim``
         stimulus depth override (``None`` -> each scenario's default);
     ``batch``
-        lock-step batch width for same-topology sweep instances: a
-        :meth:`Session.sweep` over ``seeds`` groups up to this many
-        instances per scenario into one compiled batched cycle kernel
-        (:mod:`repro.rtl.kernel`).  ``None`` resolves to
-        ``$REPRO_BATCH`` when set, else ``1`` (scalar).  ``brute``-
-        engine runs always stay scalar -- brute is the semantic
-        reference batching is held to;
+        always ``1`` (``None`` normalises to it).  Lock-step batching
+        was removed; the field stays only because it is part of the
+        pinned JSON wire schema and the server's result-cache key;
     ``trace``
         when true, :class:`RunResult` carries the rendered ASCII waveform;
     ``checkpoint_every``
@@ -230,13 +226,11 @@ class SimConfig:
                 f"got {self.parallel!r}"
             )
         if self.batch is None:
-            # _env_batch raises its own actionable error on junk values
-            object.__setattr__(self, "batch", _env_batch() or 1)
-        if not isinstance(self.batch, int) or isinstance(self.batch, bool) \
-                or not 1 <= self.batch <= MAX_BATCH:
+            object.__setattr__(self, "batch", 1)
+        if type(self.batch) is not int or self.batch != 1:
             raise ValueError(
-                f"batch must be an int width between 1 and {MAX_BATCH}, "
-                f"got {self.batch!r} (did REPRO_BATCH leak a typo?)"
+                f"batch must be 1 or None, got {self.batch!r}: lock-step "
+                f"batching was removed"
             )
         if self.checkpoint_every is None:
             object.__setattr__(
@@ -738,15 +732,7 @@ class Session:
         unpicklable crosses the pool boundary).
 
         ``seeds`` turns the sweep into a stimulus campaign: every
-        scenario runs once per seed, keyed ``"name@s<seed>"``.  With
-        ``config.batch > 1`` (or ``REPRO_BATCH``), each scenario's
-        seeds are grouped into lock-step batches of up to ``batch``
-        instances advancing through one compiled batched kernel pass
-        per group (``run_scenario_batch`` jobs) -- M-way vectorization
-        inside each executor job, composing with P-way processes across
-        jobs.  Result keys and values are identical either way (batched
-        runs are pinned bit-equal to scalar ones); ``brute``-engine
-        campaigns always take the scalar path.
+        scenario runs once per seed, keyed ``"name@s<seed>"``.
 
         Returns results keyed in selection order; each result's
         ``seconds`` is the wall-clock of the whole sweep (the scenarios
@@ -762,40 +748,19 @@ class Session:
                         config=cfg)
                 for name in names
             ]
-            keys = {name: name for name in names}
         else:
             seeds = list(seeds)
-            specs = []
-            keys = {}            # result key -> (job name, index or None)
-            if cfg.batch > 1 and cfg.engine != "brute":
-                for name in names:
-                    for j in range(0, len(seeds), cfg.batch):
-                        group = seeds[j:j + cfg.batch]
-                        spec_name = f"{name}@g{j // cfg.batch}"
-                        specs.append(JobSpec(
-                            kind="run_scenario_batch", name=spec_name,
-                            scenario=name, config=cfg,
-                            params=(("seeds", tuple(group)),)))
-                        for pos, s in enumerate(group):
-                            keys[f"{name}@s{s}"] = (spec_name, pos)
-            else:
-                for name in names:
-                    for s in seeds:
-                        spec_name = f"{name}@s{s}"
-                        specs.append(JobSpec(
-                            kind="run_scenario", name=spec_name,
-                            scenario=name, config=cfg.replace(seed=s)))
-                        keys[spec_name] = spec_name
+            specs = [
+                JobSpec(kind="run_scenario", name=f"{name}@s{s}",
+                        scenario=name, config=cfg.replace(seed=s))
+                for name in names for s in seeds
+            ]
         t0 = time.perf_counter()
         runs = run_batch(specs, **pool_args(cfg))
         elapsed = time.perf_counter() - t0
-        diag = {"sweep_size": len(keys)}
-        out = {}
-        for key, where in keys.items():
-            run = runs[where] if isinstance(where, str) \
-                else runs[where[0]][where[1]]
-            out[key] = _result_from_scenario_run(cfg, run, elapsed, diag)
-        return out
+        diag = {"sweep_size": len(specs)}
+        return {key: _result_from_scenario_run(cfg, run, elapsed, diag)
+                for key, run in runs.items()}
 
     # -- fault injection -----------------------------------------------
     def inject_campaign(self, scenario: str, faults: int = 25, *,

@@ -3,12 +3,8 @@
 All four drivers (``generate_table1``, ``generate_table2``,
 ``generate_figures``, ``appendix_a``) accept a
 :class:`~repro.api.SimConfig` (or :class:`~repro.api.Session`) via
-``config=``; the loose ``parallel``/``backend`` keywords survive as
-compatibility shims.  The workload builders in :mod:`.scenarios`
-register with the canonical scenario registry
-(:func:`repro.api.get_registry`); the ``SCENARIOS``/``ANVIL_SCENARIOS``
-dicts and ``build_*`` helpers re-exported here are deprecated shims
-over it.
+``config=``.  The workload builders in :mod:`.scenarios` register with
+the canonical scenario registry (:func:`repro.api.get_registry`).
 """
 
 from .appendix_a import appendix_a
@@ -22,22 +18,12 @@ from .figures import (
     figure8,
     generate_figures,
 )
-from .scenarios import (
-    ANVIL_SCENARIOS,
-    SCENARIOS,
-    build_anvil_scenario,
-    build_anvil_sweep,
-    build_scenario,
-    build_sweep,
-)
 from .table1 import Table1Row, format_table1, generate_table1
 from .table2 import generate_table2, stream_fifo_safety
 
 __all__ = [
     "appendix_a", "figure1", "figure2_anvil", "figure2_bsv", "figure4",
     "figure5", "figure6", "figure8", "generate_figures",
-    "ANVIL_SCENARIOS", "SCENARIOS", "build_anvil_scenario",
-    "build_anvil_sweep", "build_scenario", "build_sweep",
     "Table1Row", "format_table1",
     "generate_table1", "generate_table2", "stream_fifo_safety",
 ]

@@ -12,9 +12,9 @@ stimulus.  The same builder serves three purposes:
   between the two engines on them;
 * :class:`~repro.rtl.batch.BatchSimulator` sweeps run them concurrently.
 
-A second, *Anvil-only* scenario set (``ANVIL_SCENARIOS`` /
-:func:`build_anvil_scenario` / :func:`build_anvil_sweep`) elaborates
-just the compiled Anvil twins of each family under randomized stimulus.
+A second, *Anvil-only* scenario set (the ``anvil_*`` registry entries)
+elaborates just the compiled Anvil twins of each family under
+randomized stimulus.
 These are the workloads on which the FSM execution *backend* matters:
 ``benchmarks/bench_simulator.py`` measures the generated-Python backend
 (``backend="pycompiled"``) against the plan interpreter on them, and
@@ -31,17 +31,15 @@ under ``anvil_*`` names) or ``sweep`` (all-in-one simulators).  The
 registry is the single code path through which
 :class:`~repro.rtl.batch.BatchSimulator.add_scenario`, the benchmark
 sweep, the equivalence tests and the ``python -m repro`` CLI look up and
-elaborate workloads; the ``SCENARIOS``/``ANVIL_SCENARIOS`` dicts and the
-``build_*`` functions below survive only as deprecation shims over it.
+elaborate workloads.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
-from typing import Callable, Dict
+from typing import Dict
 
-from ..api import REGISTRY, SimConfig
+from ..api import REGISTRY
 from ..codegen.simfsm import MessagePort, build_simulation
 from ..designs.aes import OP_DECRYPT, OP_ENCRYPT, AesCore, aes_pack
 from ..designs.axi import (
@@ -318,43 +316,6 @@ def scenario_sweep(engine: str = "levelized", seed: int = 0,
     return sim
 
 
-#: deprecated view kept for one release; use ``repro.api.get_registry()``
-SCENARIOS: Dict[str, Callable[..., Simulator]] = {
-    "streams": scenario_streams,
-    "memory": scenario_memory,
-    "aes": scenario_aes,
-    "axi": scenario_axi,
-    "mmu": scenario_mmu,
-    "pipeline": scenario_pipeline,
-}
-
-
-def _deprecated(old: str, new: str):
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.api)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def build_scenario(name: str, engine: str = "levelized", seed: int = 0,
-                   stim: int = DEFAULT_STIM,
-                   backend: str = "interp") -> Simulator:
-    """Deprecated shim: kwargs-era entry point over the registry."""
-    _deprecated("build_scenario()",
-                "Session.build(name) / get_registry().build(name, config)")
-    return REGISTRY.build(name, SimConfig(
-        engine=engine, seed=seed, stim=stim, backend=backend))
-
-
-def build_sweep(engine: str = "levelized", seed: int = 0,
-                stim: int = DEFAULT_STIM,
-                backend: str = "interp") -> Simulator:
-    """Deprecated shim: the registered ``sweep`` scenario."""
-    _deprecated("build_sweep()", 'Session.build("sweep")')
-    return REGISTRY.build("sweep", SimConfig(
-        engine=engine, seed=seed, stim=stim, backend=backend))
-
-
 # ---------------------------------------------------------------------------
 # the Anvil-only scenarios: compiled processes, no baseline RTL
 # ---------------------------------------------------------------------------
@@ -597,36 +558,3 @@ def y86_memcpy(engine: str = "levelized", seed: int = 0,
                backend: str = "interp") -> Simulator:
     """Copy-and-checksum: load/store pairs through the memory stage."""
     return _y86_scenario("memcpy", engine, seed, stim, sim, backend)
-
-
-#: deprecated view kept for one release; note the registry names these
-#: ``anvil_streams`` ... -- this dict keeps the old short keys
-ANVIL_SCENARIOS: Dict[str, Callable[..., Simulator]] = {
-    "streams": anvil_streams,
-    "memory": anvil_memory,
-    "aes": anvil_aes,
-    "axi": anvil_axi,
-    "mmu": anvil_mmu,
-    "pipeline": anvil_pipeline,
-}
-
-
-def build_anvil_scenario(name: str, engine: str = "levelized",
-                         seed: int = 0, stim: int = DEFAULT_STIM,
-                         backend: str = "interp") -> Simulator:
-    """Deprecated shim: short-name lookup over the ``anvil_*`` registry
-    entries."""
-    _deprecated("build_anvil_scenario()",
-                'Session.build("anvil_<name>")')
-    key = name if name.startswith("anvil_") else f"anvil_{name}"
-    return REGISTRY.build(key, SimConfig(
-        engine=engine, seed=seed, stim=stim, backend=backend))
-
-
-def build_anvil_sweep(engine: str = "levelized", seed: int = 0,
-                      stim: int = DEFAULT_STIM,
-                      backend: str = "interp") -> Simulator:
-    """Deprecated shim: the registered ``anvil_sweep`` scenario."""
-    _deprecated("build_anvil_sweep()", 'Session.build("anvil_sweep")')
-    return REGISTRY.build("anvil_sweep", SimConfig(
-        engine=engine, seed=seed, stim=stim, backend=backend))

@@ -205,8 +205,7 @@ def _table1_row_job(spec: JobSpec) -> Table1Row:
                 spec.config.backend, spec.config.engine)
 
 
-def generate_table1(fast: bool = False, parallel=None,
-                    backend: str = None, config=None) -> List[Table1Row]:
+def generate_table1(fast: bool = False, config=None) -> List[Table1Row]:
     """Compute every row of Table 1.
 
     Rows are independent (each builds its own processes and simulators),
@@ -217,14 +216,13 @@ def generate_table1(fast: bool = False, parallel=None,
     ``thread`` remains the GIL-bound compatibility reference).
     ``config`` (a :class:`~repro.api.SimConfig` or
     :class:`~repro.api.Session`) supplies the FSM execution backend of
-    the activity simulations, the executor and the pool size; the
-    ``parallel``/``backend`` keywords survive as a compatibility shim
-    and win over the config when given.  Results are backend- and
-    executor-independent, only the wall-clock changes."""
+    the activity simulations, the executor and the pool size.  Results
+    are backend- and executor-independent, only the wall-clock
+    changes."""
     from ..api import pool_args, resolve_config
     from ..rtl.batch import run_batch
 
-    cfg = resolve_config(config, parallel=parallel, backend=backend)
+    cfg = resolve_config(config)
     specs = _spec_rows()
     results = run_batch(
         [JobSpec(kind="table1_row", name=spec["name"], config=cfg,

@@ -212,20 +212,17 @@ def _table2_case_job(spec: JobSpec) -> Dict[str, object]:
     return CASES[case]()
 
 
-def generate_table2(parallel=None, backend: str = None,
-                    config=None) -> Dict[str, Dict[str, object]]:
+def generate_table2(config=None) -> Dict[str, Dict[str, object]]:
     """All five case studies plus the Section 7.2 stream-FIFO dynamic
     comparison; independent, so each runs as one declarative
     ``table2_case`` :class:`~repro.rtl.executors.JobSpec` on the
     configured executor.  ``config`` (a :class:`~repro.api.SimConfig`
     or :class:`~repro.api.Session`) supplies the FSM execution backend
-    of the dynamic case, the executor and the pool size; the
-    ``parallel``/``backend`` keywords survive as a compatibility shim
-    and win over the config when given."""
+    of the dynamic case, the executor and the pool size."""
     from ..api import pool_args, resolve_config
     from ..rtl.batch import run_batch
 
-    cfg = resolve_config(config, parallel=parallel, backend=backend)
+    cfg = resolve_config(config)
     return run_batch(
         [JobSpec(kind="table2_case", name=name, config=cfg,
                  params=(("case", name),))

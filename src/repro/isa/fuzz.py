@@ -268,31 +268,12 @@ def run_fuzz(
     engines: Sequence[str] = DEFAULT_ENGINES,
     anvil_every: int = 0,
     mem_size: int = MEM_SIZE,
-    batch: Optional[int] = None,
 ) -> Tuple[FuzzResult, ...]:
     """Run ``count`` generated programs; program ``i`` uses the derived
     seed ``seed * 1_000_003 + i`` so any failure names a standalone
     seed.  ``anvil_every = k`` additionally runs every ``k``-th program
     through the Anvil core (interp backend); 0 disables it.
-
-    ``batch`` groups the RTL runs of up to that many programs into one
-    lock-step batched kernel pass per engine, with each pipeline peeled
-    out of the batch the cycle its ``halted`` wire rises (default: the
-    ``REPRO_BATCH`` environment knob, else scalar).  ``engine="brute"``
-    and the Anvil cases always run scalar -- brute is the semantic
-    reference the batch is being held to.  Batched runs check the same
-    architectural contract case by case; reported cycle counts are the
-    exact halt cycles (the scalar path's chunked ``run_to_halt`` can
-    overshoot), and a failing case surfaces engine-major rather than
-    case-major.
     """
-    if batch is None:
-        from ..rtl.batch import _env_batch
-
-        batch = _env_batch() or 1
-    if batch > 1:
-        return _run_fuzz_batched(count, seed, engines, anvil_every,
-                                 mem_size, batch)
     results = []
     for i in range(count):
         case_seed = seed * 1_000_003 + i
@@ -303,95 +284,3 @@ def run_fuzz(
             source, seed=case_seed, engines=engines,
             anvil_backends=anvil, mem_size=mem_size))
     return tuple(results)
-
-
-def _run_fuzz_batched(count: int, seed: int, engines: Sequence[str],
-                      anvil_every: int, mem_size: int,
-                      batch: int) -> Tuple[FuzzResult, ...]:
-    """The lock-step body of :func:`run_fuzz`: every case's reference
-    state first, then per engine the cases in batches of ``batch``
-    pipelines advancing through one compiled kernel, each stopping on
-    its own ``halted`` wire."""
-    from ..designs.y86 import (
-        Y86PipelineCpu,
-        anvil_arch_state,
-        attach_anvil_y86,
-        run_to_halt,
-    )
-    from ..rtl.batch import StopCondition, run_lockstep
-    from ..rtl.simulator import Simulator
-
-    cases = []
-    for i in range(count):
-        case_seed = seed * 1_000_003 + i
-        source = generate_program(case_seed, mem_size=mem_size)
-        prog = assemble(source)
-        expected = ReferenceMachine(prog.image, mem_size=mem_size).run(
-            max_steps=50_000)
-        cases.append((i, case_seed, prog, expected,
-                      12 * expected.instret + 300))
-
-    cycles_by_case: list = [dict() for _ in range(count)]
-    for engine in engines:
-        label = f"rtl/{engine}"
-        if engine == "brute":
-            for i, case_seed, prog, expected, budget in cases:
-                sim = Simulator(f"y86_fuzz_{engine}", engine=engine)
-                cpu = sim.add(Y86PipelineCpu("cpu", prog.image,
-                                             mem_size=mem_size))
-                cycles_by_case[i][label] = run_to_halt(
-                    sim, cpu, max_cycles=budget)
-                got = cpu.arch_state()
-                if got != expected:
-                    raise _mismatch(label, case_seed, prog, expected, got)
-            continue
-        for at in range(0, count, batch):
-            group = cases[at:at + batch]
-            sims, cpus = [], []
-            for i, _case_seed, prog, _expected, _budget in group:
-                sim = Simulator(f"y86_fuzz_{engine}_{i}", engine=engine)
-                cpus.append(sim.add(Y86PipelineCpu(
-                    "cpu", prog.image, mem_size=mem_size)))
-                sims.append(sim)
-            stop = StopCondition("nonzero", [c.halted_w for c in cpus])
-            horizon = max(budget for *_rest, budget in group)
-            res = run_lockstep(sims, horizon, stop=stop, width=batch)
-            for k, (i, case_seed, prog, expected, budget) in \
-                    enumerate(group):
-                if not (res.stopped[k] and res.cycles[k] <= budget):
-                    raise RuntimeError(
-                        f"{label} did not halt within {budget} cycles "
-                        f"(fuzz seed {case_seed})")
-                got = cpus[k].arch_state()
-                if got != expected:
-                    raise _mismatch(label, case_seed, prog, expected, got)
-                cycles_by_case[i][label] = res.cycles[k]
-
-    # the Anvil core is a different execution model entirely (typed
-    # channels over the FSM backends); its differential cases stay
-    # scalar, exactly as in differential_check
-    if anvil_every:
-        label = "anvil/interp"
-        for i, case_seed, prog, expected, budget in cases:
-            if i % anvil_every:
-                continue
-            sim = Simulator("y86_fuzz_anvil_interp")
-            core, server, _host = attach_anvil_y86(
-                sim, prog.image, backend="interp", mem_size=mem_size)
-            start = sim.cycle
-            while not core.regs["halted"]:
-                if sim.cycle - start >= budget:
-                    raise RuntimeError(
-                        f"{label} did not halt within {budget} cycles "
-                        f"(fuzz seed {case_seed})")
-                sim.run(min(256, budget - (sim.cycle - start)))
-            cycles_by_case[i][label] = sim.cycle - start
-            got = anvil_arch_state(core, server)
-            if got != expected:
-                raise _mismatch(label, case_seed, prog, expected, got)
-
-    return tuple(
-        FuzzResult(seed=case_seed, instret=expected.instret,
-                   stat=expected.stat, cycles=cycles_by_case[i])
-        for i, case_seed, _prog, expected, _budget in cases
-    )

@@ -63,6 +63,11 @@ from .protocol import (
     ws_text,
 )
 
+#: seconds a connection may take to deliver one complete request (or sit
+#: idle between keep-alive requests) before the server hangs up, so a
+#: client that stalls mid-request cannot hold a connection open forever
+REQUEST_DEADLINE = 30.0
+
 
 class ReproServer:
     """The long-lived simulation service."""
@@ -198,7 +203,10 @@ class ReproServer:
         try:
             while True:
                 try:
-                    request = await read_request(reader)
+                    request = await asyncio.wait_for(
+                        read_request(reader), REQUEST_DEADLINE)
+                except TimeoutError:
+                    break
                 except ProtocolError as exc:
                     writer.write(json_response(400, {"error": str(exc)}))
                     await writer.drain()

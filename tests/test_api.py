@@ -1,6 +1,6 @@
 """The unified run-time surface (`repro.api`) and the `python -m repro`
 CLI: SimConfig validation, the scenario registry, Session runs/sweeps,
-the deprecation shims (pinned bit-identical to the new path), and a
+the add_scenario keyword form (pinned bit-identical to the config path), and a
 smoke pass over every CLI subcommand."""
 
 import json
@@ -75,6 +75,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**bad)
 
+    def test_batch_is_pinned_to_one(self):
+        assert SimConfig().batch == SimConfig(batch=1).batch == 1
+        for bad in (4, 0, True, "1"):
+            with pytest.raises(ValueError,
+                               match="lock-step batching was removed"):
+                SimConfig(batch=bad)
+
     def test_frozen(self):
         cfg = SimConfig()
         with pytest.raises(AttributeError):
@@ -115,16 +122,14 @@ class TestEnvKnobGarbage:
     ValueError naming the variable and echoing the offending value --
     a typo'd override must never silently run the default path."""
 
-    KNOBS = ("REPRO_BATCH", "REPRO_ENGINE", "REPRO_EXECUTOR",
-             "REPRO_PARALLEL")
+    KNOBS = ("REPRO_ENGINE", "REPRO_EXECUTOR", "REPRO_PARALLEL")
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
         for var in self.KNOBS:
             monkeypatch.delenv(var, raising=False)
 
-    @pytest.mark.parametrize("var", ["REPRO_BATCH", "REPRO_ENGINE",
-                                     "REPRO_EXECUTOR"])
+    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR"])
     def test_config_construction_rejects_garbage(self, var, monkeypatch):
         monkeypatch.setenv(var, "garbage?!")
         with pytest.raises(ValueError, match=var) as exc:
@@ -139,8 +144,8 @@ class TestEnvKnobGarbage:
             session.sweep(["streams"])
         assert "garbage?!" in str(exc.value)
 
-    @pytest.mark.parametrize("var", ["REPRO_BATCH", "REPRO_ENGINE",
-                                     "REPRO_EXECUTOR", "REPRO_PARALLEL"])
+    @pytest.mark.parametrize("var", ["REPRO_ENGINE", "REPRO_EXECUTOR",
+                                     "REPRO_PARALLEL"])
     def test_cli_reports_garbage_and_exits_two(self, var, monkeypatch,
                                                capsys):
         monkeypatch.setenv(var, "garbage?!")
@@ -274,43 +279,9 @@ class TestSession:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims: old kwargs path pinned bit-identical to the new one
+# BatchSimulator.add_scenario's keyword form, pinned to the config path
 # ---------------------------------------------------------------------------
 class TestDeprecationShims:
-    def _state(self, sim, cycles):
-        sim.run(cycles)
-        return sim.activity, sim.waveform.samples
-
-    @pytest.mark.parametrize("name", ["memory", "anvil_pipeline"])
-    def test_build_scenario_shims_match_session(self, name):
-        from repro.harness.scenarios import (
-            build_anvil_scenario,
-            build_scenario,
-        )
-
-        cfg = SimConfig(seed=3, stim=150, backend="pycompiled")
-        new = self._state(get_registry().build(name, cfg), 60)
-        with pytest.warns(DeprecationWarning):
-            if name.startswith("anvil_"):
-                old_sim = build_anvil_scenario(
-                    name.removeprefix("anvil_"), seed=3, stim=150,
-                    backend="pycompiled")
-            else:
-                old_sim = build_scenario(name, seed=3, stim=150,
-                                         backend="pycompiled")
-        assert self._state(old_sim, 60) == new
-
-    def test_sweep_shims_match_registered_sweeps(self):
-        from repro.harness.scenarios import build_anvil_sweep, build_sweep
-
-        session = Session(SimConfig(seed=2, stim=80))
-        for shim, name in ((build_sweep, "sweep"),
-                           (build_anvil_sweep, "anvil_sweep")):
-            new = self._state(session.build(name), 30)
-            with pytest.warns(DeprecationWarning):
-                old_sim = shim(seed=2, stim=80)
-            assert self._state(old_sim, 30) == new
-
     def test_add_scenario_legacy_kwargs_match_config_path(self):
         from repro import BatchSimulator
 
@@ -334,20 +305,6 @@ class TestDeprecationShims:
         sim = batch.add_scenario("aes", stim=64, anvil=True)
         assert sim.name == "anvil_aes"
 
-    def test_harness_driver_kwargs_match_config(self):
-        from repro.harness import generate_table1, generate_table2
-
-        cfg = SimConfig(backend="pycompiled", parallel=False)
-        assert generate_table1(fast=True, parallel=False) \
-            == generate_table1(fast=True, config=cfg)
-        assert generate_table2(parallel=False, backend="pycompiled") \
-            == generate_table2(config=cfg)
-
-    def test_legacy_scenario_dicts_still_enumerate(self):
-        from repro.harness.scenarios import ANVIL_SCENARIOS, SCENARIOS
-
-        assert set(SCENARIOS) == set(ANVIL_SCENARIOS) \
-            == {"streams", "memory", "aes", "axi", "mmu", "pipeline"}
 
 
 # ---------------------------------------------------------------------------

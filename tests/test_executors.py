@@ -129,6 +129,24 @@ class TestExecutorEquivalence:
         # remote runs carry data, not simulators
         assert swept["streams"].sim is None
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    def test_sweep_seeds_bit_identical_across_executors(self, executor):
+        """a seeded sweep keys one result per (scenario, seed) and each
+        equals a serial single run of that seed."""
+        names = ["streams", "anvil_mmu"]
+        seeds = [2, 3, 4]
+        cfg = SimConfig(stim=120, engine="kernel", backend="pycompiled",
+                        executor="serial")
+        swept = Session(cfg.replace(executor=executor, **POOL)).sweep(
+            names, cycles=50, seeds=seeds)
+        assert list(swept) == [f"{n}@s{s}" for n in names for s in seeds]
+        for n in names:
+            for s in seeds:
+                ref = Session(cfg.replace(seed=s)).run(n, cycles=50)
+                got = swept[f"{n}@s{s}"]
+                assert got.activity == ref.activity, (n, s)
+                assert got.waveform.samples == ref.waveform.samples, (n, s)
+
     def test_batch_simulator_adopts_remote_runs(self):
         cfg = SimConfig(stim=100)
         reference = BatchSimulator(parallel=False)

@@ -311,14 +311,8 @@ class TestKernelCache:
         for _ in range(3):
             sim = _build("mmu", seed=1, stim=120, engine="kernel")
             sim.run(10)
-        stats = kernel.cache_stats()
-        assert (stats["hits"], stats["misses"], stats["entries"]) \
-            == (2, 1, 1)
-        # layout breakdown: all scalar, the batch side untouched
-        assert stats["layouts"]["scalar"] == \
+        assert kernel.cache_stats() == \
             {"hits": 2, "misses": 1, "entries": 1}
-        assert stats["layouts"]["batch"] == \
-            {"hits": 0, "misses": 0, "entries": 0}
 
     def test_distinct_topologies_get_distinct_kernels(self):
         kernel.clear_cache()

@@ -223,7 +223,7 @@ class TestCacheInvalidation:
         assert sch.eval_count == len(sim.modules) * sch.settle_count
 
 
-class TestBatchRunner:
+class TestRunBatch:
     def test_run_batch_preserves_order_and_results(self):
         jobs = [(f"j{i}", (lambda i=i: i * i)) for i in range(8)]
         out = run_batch(jobs, parallel=4)
@@ -259,9 +259,10 @@ class TestBatchRunner:
 
 class TestHarnessParallelPaths:
     def test_generate_table2_parallel_matches_serial(self):
+        from repro import SimConfig
         from repro.harness import generate_table2
 
-        serial = generate_table2(parallel=False)
-        concurrent = generate_table2(parallel=True)
+        serial = generate_table2(config=SimConfig(parallel=False))
+        concurrent = generate_table2(config=SimConfig(parallel=True))
         assert serial == concurrent
         assert serial["opentitan"]["unsafe_rejected"]

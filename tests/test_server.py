@@ -436,6 +436,24 @@ def test_oversized_websocket_frame_closes_the_stream_with_1009(client):
         sock.close()
 
 
+def test_stalled_request_is_dropped_at_the_deadline(monkeypatch, client):
+    from repro.server import app
+
+    monkeypatch.setattr(app, "REQUEST_DEADLINE", 0.2)
+    assert client.health()["status"] == "ok"     # opens a keep-alive conn
+    sock = socket.create_connection(("127.0.0.1", client.port), timeout=5)
+    try:
+        sock.sendall(b"GET /health HTTP/1.1\r\n")   # then stall
+        t0 = time.monotonic()
+        assert sock.recv(1) == b""                  # the server hung up
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        sock.close()
+    # the client's idle keep-alive connection was dropped too; it
+    # reconnects transparently
+    assert client.health()["status"] == "ok"
+
+
 def test_stream_request_on_plain_job_is_409(client):
     record = client.submit("streams", cycles=64)
     client.wait(record["id"])
@@ -575,7 +593,7 @@ def test_job_records_never_show_a_state_before_its_time(monkeypatch):
 # ---------------------------------------------------------------------------
 def test_simconfig_json_round_trip():
     cfg = SimConfig(engine="kernel", backend="pycompiled", cycles=123,
-                    seed=7, stim=55, batch=4, trace=True)
+                    seed=7, stim=55, trace=True)
     assert SimConfig.from_json(cfg.to_json()) == cfg
     # canonical: key order cannot wobble the text (cache key material)
     assert cfg.to_json() == SimConfig.from_json(cfg.to_json()).to_json()

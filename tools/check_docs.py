@@ -1,15 +1,19 @@
-"""Docs check: every repo path referenced by README.md and
-docs/ARCHITECTURE.md must exist.
+"""Docs check: every repo path, ``repro.*`` name and ``REPRO_*`` variable
+referenced by README.md and docs/ARCHITECTURE.md must exist.
 
 Scans the two documents for things that look like repository paths
 (`src/repro/...`, `tests/`, `benchmarks/...py`, bare module files inside
 backticks or links) and fails if any referenced file or directory is
 missing -- so the architecture map cannot silently rot as the tree
-changes.
+changes.  It also fails when a backticked dotted name such as
+`repro.rtl.kernel.kernel_for` no longer resolves by import plus
+``getattr``, or when a ``REPRO_*`` environment variable the documents
+mention occurs nowhere in src/, tests/ or .github/.
 
 Run: python tools/check_docs.py
 """
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -20,6 +24,9 @@ DOCS = [ROOT / "README.md", ROOT / "docs" / "ARCHITECTURE.md"]
 # path-like tokens inside backticks or markdown links
 BACKTICK = re.compile(r"`([A-Za-z0-9_./-]+)`")
 LINK = re.compile(r"\]\(([A-Za-z0-9_./-]+)\)")
+# a backticked dotted name in the package, optionally called: `repro.x.y()`
+DOTTED = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 # roots a doc reference may start with; anything else in backticks is
 # treated as code, not a path
@@ -32,6 +39,8 @@ PATH_ROOTS = (
     "tools/",
 )
 SUFFIXES = (".py", ".md")
+# where a documented environment variable must still be read or set
+ENV_HOMES = ("src", "tests", ".github")
 
 
 def candidate_paths(text):
@@ -45,9 +54,40 @@ def candidate_paths(text):
                 yield token
 
 
+def resolves(name):
+    """Whether ``name`` is an importable module, or an attribute chain
+    reachable by ``getattr`` from the longest importable prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and module_name.startswith(exc.name):
+                continue
+            raise
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def env_var_corpus():
+    chunks = []
+    for home in ENV_HOMES:
+        for path in sorted((ROOT / home).rglob("*")):
+            if path.is_file() and path.suffix in (".py", ".yml", ".yaml"):
+                chunks.append(path.read_text(errors="replace"))
+    return "\n".join(chunks)
+
+
 def main():
+    sys.path.insert(0, str(ROOT / "src"))
     missing = []
     checked = 0
+    corpus = env_var_corpus()
     for doc in DOCS:
         if not doc.exists():
             missing.append((str(doc.relative_to(ROOT)), "(document itself)"))
@@ -60,15 +100,20 @@ def main():
             in_repo = (ROOT / ref).exists()
             in_package = (ROOT / "src" / "repro" / ref).exists()
             if not in_repo and not in_package:
-                missing.append((doc.name, ref))
+                missing.append((doc.name, "path " + ref))
+        for name in sorted(set(DOTTED.findall(text))):
+            checked += 1
+            if not resolves(name):
+                missing.append((doc.name, "name " + name))
+        for var in sorted(set(ENV_VAR.findall(text))):
+            checked += 1
+            if not re.search(r"\b{}\b".format(var), corpus):
+                missing.append((doc.name, "environment variable " + var))
     if missing:
         for doc, ref in missing:
-            print(
-                "{}: missing referenced path: {}".format(doc, ref),
-                file=sys.stderr,
-            )
+            print("{}: missing referenced {}".format(doc, ref), file=sys.stderr)
         return 1
-    print("docs check OK: {} path references resolve".format(checked))
+    print("docs check OK: {} references resolve".format(checked))
     return 0
 
 
